@@ -207,14 +207,13 @@ func Run(sol *construct.Solution, stgs []stages.Stage, cfg Config) (*Report, err
 	if err != nil {
 		return nil, err
 	}
-	if cfg.RemapDeadline > 0 {
-		eng.SetRemapDeadline(cfg.RemapDeadline)
-	}
+	mgr := eng.Manager()
+	mgr.SetDeadline(cfg.RemapDeadline)
 	// Cancellation: the token aborts in-flight remap solves, the context's
 	// channel wakes event sleeps. Both latch from the same Config.Context.
 	tok := embed.NewResources(cfg.Context, 0, 0)
 	defer tok.Release()
-	eng.SetRemapResources(tok)
+	mgr.SetResources(tok)
 	var ctxDone <-chan struct{}
 	if cfg.Context != nil {
 		ctxDone = cfg.Context.Done()
@@ -363,7 +362,7 @@ eventLoop:
 	rep.Stream = st.Close()
 	<-consumerDone
 
-	rep.Downtime = eng.Downtime()
+	rep.Downtime = mgr.Downtime()
 	rep.Elapsed = time.Since(start)
 	rep.FinalFaults = eng.Faults().Slice()
 	rep.FinalProcsInUse = eng.ProcessorsInUse()

@@ -6,10 +6,12 @@
 //
 // The layering contract: the planner (internal/plan) decides WHERE each
 // tenant runs, the executor decides WHO runs and moves the frames, and
-// the runtime (internal/pipeline placed mode) preserves the zero-loss
+// the runtime (internal/pipeline placed engines) preserves the zero-loss
 // drain/requeue semantics across each placement change. Pool faults enter
-// through Executor.Inject/Repair only; engines reject direct fault
-// routing (pipeline.ErrPlaced).
+// through Executor.Inject/Repair only and land in the planner's
+// reconfig.Manager, the pool's one fault set and solver (rollback,
+// deadline and SLO node accounting included); engines reject direct
+// fault routing (pipeline.ErrPlaced).
 package control
 
 import (
@@ -48,9 +50,6 @@ type Config struct {
 	// replan (0 = unlimited). Per-tenant budgets from the topology nest
 	// under it.
 	Budget int64
-	// ReplanDeadline bounds each coordinated replan's solver call
-	// (0 = none).
-	ReplanDeadline time.Duration
 }
 
 // tenant is the executor's live state for one topology entry.
@@ -119,14 +118,12 @@ type TenantReport struct {
 // backpressure never stalls a replan.
 type Executor struct {
 	g       *graph.Graph
-	k       int
 	topo    *plan.Topology
 	planner *plan.Planner
 	root    *embed.Resources
 
 	mu       sync.Mutex
 	closed   bool
-	faults   bitset.Set
 	excluded map[string]bool // shed for good (budget); skipped by the planner
 	tenants  map[string]*tenant
 	order    []string // topology order, for deterministic iteration
@@ -145,14 +142,16 @@ type Executor struct {
 // plan, and starts every admitted tenant. The topology must come from
 // plan.Load/Parse (validated, defaults filled).
 func New(sol *construct.Solution, topo *plan.Topology, cfg Config) (*Executor, error) {
+	planner, err := plan.NewPlanner(sol, topo)
+	if err != nil {
+		return nil, err
+	}
 	reg := obs.Default()
 	x := &Executor{
 		g:        sol.Graph,
-		k:        sol.K,
 		topo:     topo,
-		planner:  plan.NewPlanner(sol, topo),
+		planner:  planner,
 		root:     embed.NewResources(nil, cfg.Budget, 0),
-		faults:   bitset.New(sol.Graph.NumNodes()),
 		excluded: make(map[string]bool),
 		tenants:  make(map[string]*tenant),
 
@@ -178,16 +177,11 @@ func New(sol *construct.Solution, topo *plan.Topology, cfg Config) (*Executor, e
 			framesC: reg.Counter("control_frames_total", obs.L("tenant", spec.Name)),
 		}
 	}
-	if slo := span.DefaultSLO(); slo.Enabled() {
-		for _, kind := range []graph.Kind{graph.Processor, graph.InputTerminal, graph.OutputTerminal} {
-			slo.RegisterClass(kind.String(), sol.Graph.CountKind(kind))
-		}
-		slo.SetDegradation(0, sol.K)
-	}
+	planner.Manager().SetResources(x.root)
 
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if _, err := x.replanLocked(cfg.ReplanDeadline, "bootstrap", -1); err != nil {
+	if _, err := x.replanLocked("bootstrap", -1); err != nil {
 		x.releaseLocked()
 		return nil, err
 	}
@@ -259,107 +253,66 @@ func (x *Executor) GetBuffer(name string, n int) []float64 {
 	return eng.GetBuffer(n)
 }
 
-// Inject faults one pool node and runs a coordinated replan: one solver
-// call (memo-warm) recomputes the global pipeline, and every tenant whose
-// segment moved is remapped live under a single "replan" root span, with
-// per-tenant drain/requeue preserving the zero-loss contract. On error
-// (fault beyond tolerance, solver budget) the fault is rolled back and
-// every placement is left untouched — the caller decides whether to force
-// the issue (it cannot, via this API) or deny the event.
+// Inject faults one pool node and runs a coordinated replan: the pool
+// manager repairs the global pipeline (a local tactic when one applies,
+// else one warm solve), and every tenant whose segment moved is remapped
+// live under a single "replan" root span, with per-tenant drain/requeue
+// preserving the zero-loss contract. On error (fault beyond tolerance,
+// solver budget, an already faulty node) the manager rolls the fault back
+// and every placement is left untouched.
 func (x *Executor) Inject(node int) (*ReplanResult, error) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if x.closed {
-		return nil, ErrClosed
-	}
-	if node < 0 || node >= x.g.NumNodes() {
-		return nil, fmt.Errorf("control: node %d out of range", node)
-	}
-	if x.faults.Contains(node) {
-		return nil, fmt.Errorf("control: node %d already faulty", node)
-	}
-	x.faults.Add(node)
-	res, err := x.replanLocked(0, "inject", node)
-	if err != nil {
-		x.faults.Remove(node)
-		return nil, err
-	}
-	if slo := span.DefaultSLO(); slo.Enabled() {
-		slo.NodeDown(x.g.Kind(node).String())
-		slo.SetDegradation(x.faults.Count(), x.k)
-	}
-	x.faultsG.Set(int64(x.faults.Count()))
-	return res, nil
+	return x.replan("inject", node)
 }
 
 // Repair heals one pool node and replans; placements grow back and shed
 // tenants are readmitted when capacity allows. Symmetric with Inject.
 func (x *Executor) Repair(node int) (*ReplanResult, error) {
+	return x.replan("repair", node)
+}
+
+func (x *Executor) replan(cause string, node int) (*ReplanResult, error) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if x.closed {
 		return nil, ErrClosed
 	}
-	if node < 0 || node >= x.g.NumNodes() || !x.faults.Contains(node) {
-		return nil, fmt.Errorf("control: node %d is not faulty", node)
-	}
-	x.faults.Remove(node)
-	res, err := x.replanLocked(0, "repair", node)
-	if err != nil {
-		x.faults.Add(node)
-		return nil, err
-	}
-	if slo := span.DefaultSLO(); slo.Enabled() {
-		slo.NodeUp(x.g.Kind(node).String())
-		slo.SetDegradation(x.faults.Count(), x.k)
-	}
-	x.faultsG.Set(int64(x.faults.Count()))
-	return res, nil
+	return x.replanLocked(cause, node)
 }
 
-// replanLocked is the coordinated replan: plan, charge budgets, diff, and
+// replanLocked is the coordinated replan: remap the pool (cause "inject"
+// or "repair"; the bootstrap only carves), charge budgets, diff, and
 // apply. Caller holds x.mu. The budget-shed loop is bounded: a tenant
 // whose token stops is added to the persistent exclusion set, and the
-// planner re-solves (a memo hit — the fault set is unchanged) without it.
-func (x *Executor) replanLocked(deadline time.Duration, cause string, node int) (*ReplanResult, error) {
+// planner re-carves the same pipeline without it.
+func (x *Executor) replanLocked(cause string, node int) (*ReplanResult, error) {
 	start := time.Now()
 	root := span.Start(nil, "replan")
 	root.SetStr("cause", cause)
 	if node >= 0 {
 		root.SetInt("node", int64(node))
 	}
-	root.SetInt("faults", int64(x.faults.Count()))
 
 	var pl *plan.Plan
-	for {
-		scope := embed.Scoped(x.root, deadline)
-		var err error
-		pl, err = x.planner.Plan(x.faults, x.excluded, scope, root)
-		scope.Release()
-		if err != nil {
-			root.SetStr("error", err.Error())
-			root.End(span.Errored)
-			return nil, err
-		}
-		// Charge the solver work to the tenants whose placement it
-		// (re)computed: everyone admitted by this plan, equal shares.
-		if pl.Expansions > 0 && len(pl.Assignments) > 0 {
-			share := (pl.Expansions + int64(len(pl.Assignments)) - 1) / int64(len(pl.Assignments))
-			stopped := false
-			for _, a := range pl.Assignments {
-				t := x.tenants[a.Tenant]
-				if t.spec.Budget > 0 && !t.res.Charge(share) && !x.excluded[a.Tenant] {
-					x.excluded[a.Tenant] = true
-					root.Eventf("budget", "tenant %s exhausted its solver budget", a.Tenant)
-					stopped = true
-				}
-			}
-			if stopped {
-				continue // re-solve without the exhausted tenants (memo hit)
-			}
-		}
-		break
+	var err error
+	switch cause {
+	case "inject":
+		pl, err = x.planner.Fault(node, x.excluded, root)
+	case "repair":
+		pl, err = x.planner.Repair(node, x.excluded, root)
+	default:
+		pl, err = x.planner.Plan(x.excluded, root)
 	}
+	for err == nil && x.chargeLocked(pl, root) {
+		pl, err = x.planner.Plan(x.excluded, root)
+	}
+	faults := x.planner.Manager().Faults().Count()
+	root.SetInt("faults", int64(faults))
+	if err != nil {
+		root.SetStr("error", err.Error())
+		root.End(span.Errored)
+		return nil, err
+	}
+	x.faultsG.Set(int64(faults))
 
 	res := &ReplanResult{Gen: pl.Gen, Expansions: pl.Expansions}
 	// Stop tenants the plan shed.
@@ -422,6 +375,26 @@ func (x *Executor) replanLocked(deadline time.Duration, cause string, node int) 
 		SetInt("expansions", pl.Expansions)
 	root.End(span.OK)
 	return res, nil
+}
+
+// chargeLocked charges a plan's solver work to the tenants it admitted,
+// in equal shares, and reports whether one of them exhausted its budget;
+// that tenant joins the exclusion set and the caller re-carves.
+func (x *Executor) chargeLocked(pl *plan.Plan, root *span.S) bool {
+	if pl.Expansions == 0 || len(pl.Assignments) == 0 {
+		return false
+	}
+	share := (pl.Expansions + int64(len(pl.Assignments)) - 1) / int64(len(pl.Assignments))
+	stopped := false
+	for _, a := range pl.Assignments {
+		t := x.tenants[a.Tenant]
+		if t.spec.Budget > 0 && !t.res.Charge(share) && !x.excluded[a.Tenant] {
+			x.excluded[a.Tenant] = true
+			root.Eventf("budget", "tenant %s exhausted its solver budget", a.Tenant)
+			stopped = true
+		}
+	}
+	return stopped
 }
 
 // startTenantLocked brings up a fresh engine incarnation on seg. Stage
@@ -510,7 +483,7 @@ func (x *Executor) Replans() (n int64, maxAffected int) {
 func (x *Executor) Faults() bitset.Set {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	return x.faults.Clone()
+	return x.planner.Manager().Faults()
 }
 
 // Segments returns each running tenant's current placement — the live

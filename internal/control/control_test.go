@@ -88,12 +88,18 @@ func TestExecutorCoordinatedReplan(t *testing.T) {
 	x, sol := mustExecutor(t, mixedTopo)
 	tenants := []string{"gold-a", "silver-b", "bronze-c"}
 
-	var wg sync.WaitGroup
+	// ready holds the faults back until every producer has had a frame
+	// accepted: local-tier replans are fast enough that all six could
+	// otherwise finish before a producer goroutine is first scheduled.
+	var wg, ready sync.WaitGroup
 	stop := make(chan struct{})
 	for _, name := range tenants {
 		wg.Add(1)
+		ready.Add(1)
 		go func(name string, seed int64) {
 			defer wg.Done()
+			var once sync.Once
+			defer once.Do(ready.Done)
 			rng := rand.New(rand.NewSource(seed))
 			seq := 0
 			for {
@@ -110,6 +116,7 @@ func TestExecutorCoordinatedReplan(t *testing.T) {
 				switch {
 				case err == nil:
 					seq++
+					once.Do(ready.Done)
 				case errors.Is(err, control.ErrBackpressure):
 					// Bronze drop: seq NOT consumed, frame never entered.
 				case errors.Is(err, control.ErrTenantShed):
@@ -121,6 +128,7 @@ func TestExecutorCoordinatedReplan(t *testing.T) {
 			}
 		}(name, int64(len(name)))
 	}
+	ready.Wait()
 
 	procs := sol.Graph.Processors()
 	faulted := []int{procs[1], procs[5], procs[9]}
@@ -285,4 +293,49 @@ func TestExecutorBudgetShed(t *testing.T) {
 	if len(gSeg) != len(sol.Graph.Processors()) {
 		t.Fatalf("surviving tenant holds %d procs, want the whole pool (%d)", len(gSeg), len(sol.Graph.Processors()))
 	}
+}
+
+// TestExecutorReplanUsesLocalTier pins that a pool fault whose pipeline
+// neighbours are adjacent is answered by the manager's splice tactic: no
+// solver work, even without the structured layout, and a valid partition.
+func TestExecutorReplanUsesLocalTier(t *testing.T) {
+	sol, err := construct.Design(12, 3)
+	if err != nil {
+		t.Fatalf("Design: %v", err)
+	}
+	bare := *sol
+	bare.Layout = nil // a full solve would cost real expansions
+	topo, err := plan.Parse([]byte(mixedTopo))
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	x, err := control.New(&bare, topo, control.Config{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer x.Close()
+
+	segs := x.Segments()
+	var interior graph.Path
+	for _, name := range []string{"gold-a", "silver-b", "bronze-c"} {
+		interior = append(interior, segs[name]...)
+	}
+	victim := -1
+	for i := 1; i+1 < len(interior); i++ {
+		if sol.Graph.HasEdge(interior[i-1], interior[i+1]) {
+			victim = interior[i]
+			break
+		}
+	}
+	if victim < 0 {
+		t.Fatal("no processor with adjacent pipeline neighbours")
+	}
+	res, err := x.Inject(victim)
+	if err != nil {
+		t.Fatalf("Inject(%d): %v", victim, err)
+	}
+	if res.Expansions != 0 {
+		t.Fatalf("splice-able fault cost %d expansions, want 0 (local tier)", res.Expansions)
+	}
+	checkPartition(t, x, &bare)
 }

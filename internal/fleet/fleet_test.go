@@ -1,7 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"sync"
@@ -46,6 +50,46 @@ func runWorkers(t *testing.T, srv *httptest.Server, n int) {
 	wg.Wait()
 }
 
+// leaseBarrier withholds every /v1/lease answer until n distinct worker
+// IDs have been served one, so each worker is registered with the
+// coordinator before any of them can start (and drain) the sweep,
+// whatever the scheduler does.
+func leaseBarrier(h http.Handler, n int) http.Handler {
+	var mu sync.Mutex
+	seen := make(map[string]bool)
+	ready := make(chan struct{})
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/lease" {
+			h.ServeHTTP(w, r)
+			return
+		}
+		body, _ := io.ReadAll(r.Body)
+		var req LeaseRequest
+		_ = json.Unmarshal(body, &req)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		mu.Lock()
+		if !seen[req.WorkerID] {
+			seen[req.WorkerID] = true
+			if len(seen) == n {
+				close(ready)
+			}
+		}
+		mu.Unlock()
+		select {
+		case <-ready:
+		case <-r.Context().Done():
+			return
+		}
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	})
+}
+
 // A three-worker fleet over real HTTP must produce the exact verdict
 // summary of a single-process Exhaustive run of the same instance — the
 // parity property the CI fleet-smoke gauntlet asserts at binary level.
@@ -57,7 +101,12 @@ func TestFleetMatchesExhaustive(t *testing.T) {
 	}
 	want := verify.Exhaustive(inst.Graph, spec.K, inst.Opts)
 
-	c, srv := startFleet(t, Config{Spec: spec})
+	c, err := NewCoordinator(Config{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(leaseBarrier(c.Handler(), 3))
+	t.Cleanup(srv.Close)
 	runWorkers(t, srv, 3)
 
 	select {

@@ -2,8 +2,12 @@
 // exist to serve (§1): it maps a sequence of signal-processing stages onto
 // the processors of a gracefully degradable pipeline network, pumps frames
 // through a goroutine-per-processor channel chain, and — when a fault is
-// injected — asks the embedding solver for a new pipeline over the
-// remaining healthy processors and remaps the stages onto it.
+// injected — asks its reconfig.Manager for a new pipeline over the
+// remaining healthy processors and remaps the stages onto it. Every
+// remap, a fault, a repair or a new placement from the multi-tenant
+// planner alike, is one step run on the quiesced engine that yields the
+// new processor segment; a live Stream drains and requeues its
+// in-flight frames around it.
 //
 // Graceful degradation is visible directly in the runtime: after f ≤ k
 // faults the pipeline still uses every healthy processor (verified on each
@@ -16,7 +20,7 @@
 // (pipeline_stage_ns), channel-send stall time (pipeline_send_stall_ns),
 // per-epoch wall time and throughput (pipeline_epoch_ns,
 // pipeline_epoch_throughput_bps), and remap latency by operation
-// (pipeline_remap_ns{op="inject"|"repair"}).
+// (pipeline_remap_ns{op="inject"|"repair"|"replan"}).
 package pipeline
 
 import (
@@ -57,17 +61,17 @@ type Metrics struct {
 	Repairs reconfig.Stats
 }
 
-// Engine drives one pipeline network. It runs in one of two modes:
-// self-planned (New), where it owns a reconfig.Manager over the whole
-// solution and repairs itself on Inject/Repair; or placed (NewPlaced),
-// where the pipeline is a processor segment handed down by an external
-// planner and remapped only via ApplyPlacement — see placed.go.
+// Engine drives one pipeline network: its stages run on a processor
+// segment that every remap replaces. An engine built by New owns a
+// reconfig.Manager over the whole solution and derives the segment from
+// it on Inject/Repair; one built by NewPlaced runs on a segment carved by
+// the control plane's planner and takes new ones via ApplyPlacement (see
+// placed.go). Both kinds of remap take the same drain/requeue path.
 type Engine struct {
 	g      *graph.Graph
-	mgr    *reconfig.Manager // nil in placed mode
-	placed bool
-	path   graph.Path // placed mode only: the current placement segment
-	tenant string     // optional tenant label carried on remap spans
+	mgr    *reconfig.Manager // the engine's own fault manager; nil for NewPlaced engines
+	path   graph.Path        // the processor segment the stages run on
+	tenant string            // optional tenant label carried on remap spans
 	stages []stages.Stage
 	assign [][]int // per pipeline position (processors only): logical stage indices
 
@@ -109,6 +113,8 @@ const (
 	opReplan = 2
 )
 
+var opNames = [...]string{opInject: "inject", opRepair: "repair", opReplan: "replan"}
+
 // New builds an engine over a designed solution and the given logical
 // stage chain, and maps the initial (fault-free) pipeline. The stage
 // instances are owned by the engine: their internal state survives
@@ -122,19 +128,16 @@ func New(sol *construct.Solution, stgs []stages.Stage, opts ...Option) (*Engine,
 	if err != nil {
 		return nil, err
 	}
-	e := newEngine(sol.Graph, stgs)
+	p := mgr.Pipeline()
+	e := newEngine(sol.Graph, stgs, p[1:len(p)-1], opts)
 	e.mgr = mgr
-	for _, o := range opts {
-		o(e)
-	}
-	e.assignStages()
-	e.procsInUse.Set(int64(e.ProcessorsInUse()))
 	return e, nil
 }
 
-// newEngine builds the mode-independent engine shell: stages, transport
-// tuning defaults, and the instrumentation surface.
-func newEngine(g *graph.Graph, stgs []stages.Stage) *Engine {
+// newEngine builds an engine running stgs on the processor segment seg:
+// transport tuning defaults overridden by opts, the instrumentation
+// surface, and the initial stage assignment.
+func newEngine(g *graph.Graph, stgs []stages.Stage, seg graph.Path, opts []Option) *Engine {
 	reg := obs.Default()
 	e := &Engine{
 		g: g, stages: stgs,
@@ -160,26 +163,32 @@ func newEngine(g *graph.Graph, stgs []stages.Stage) *Engine {
 	}
 	e.pool.hitC = reg.Counter("pipeline_pool_total", obs.L("result", "hit"))
 	e.pool.missC = reg.Counter("pipeline_pool_total", obs.L("result", "miss"))
+	for _, o := range opts {
+		o(e)
+	}
+	e.path = append(graph.Path(nil), seg...)
+	e.assignStages()
+	e.procsInUse.Set(int64(len(seg)))
 	return e
 }
 
-// Pipeline returns the current pipeline path (aliased; do not modify).
-// In placed mode this is the placement segment: processors only, no
-// terminals.
+// Pipeline returns the current pipeline path (aliased; do not modify):
+// the manager's terminal-to-terminal pipeline for New engines, the
+// placement segment (processors only) for NewPlaced ones.
 func (e *Engine) Pipeline() graph.Path {
-	if e.placed {
-		return e.path
+	if e.mgr != nil {
+		return e.mgr.Pipeline()
 	}
-	return e.mgr.Pipeline()
+	return e.path
 }
 
 // ProcessorsInUse returns the number of processors in the current pipeline.
-func (e *Engine) ProcessorsInUse() int {
-	if e.placed {
-		return len(e.path)
-	}
-	return len(e.mgr.Pipeline()) - 2
-}
+func (e *Engine) ProcessorsInUse() int { return len(e.path) }
+
+// Manager returns the engine's fault manager — its fault set, repair
+// deadline and resources (SetDeadline, SetResources), and downtime
+// ledger — or nil for a NewPlaced engine.
+func (e *Engine) Manager() *reconfig.Manager { return e.mgr }
 
 // Metrics returns a consistent snapshot of the engine's counters. It is
 // safe to call while Process runs on another goroutine.
@@ -203,90 +212,96 @@ func (e *Engine) StagesOn(pos int) []int {
 // Inject marks a node faulty and repairs the pipeline — locally when one
 // of the reconfig tactics applies, by full recompute otherwise. It returns
 // an error (leaving the previous mapping in place) when the node is
-// already faulty, when a remap deadline set via SetRemapDeadline expires
+// already faulty, when the manager's remap deadline expires
 // (errors.Is reconfig.ErrDeadline; the fault is rolled back), or when no
 // pipeline survives — the latter only happens beyond the design fault
 // budget k. While a Stream is active the injection routes through it:
 // in-flight frames are drained and requeued around the remap so none is
 // lost or duplicated.
 func (e *Engine) Inject(node int) error {
-	if e.placed {
+	if e.mgr == nil {
 		return ErrPlaced
 	}
+	return e.remap(remapReq{op: opInject, node: node, step: e.managed(e.mgr.Fault, node)})
+}
+
+// Repair marks a node healthy again and reinstates it in the pipeline.
+// While a Stream is active the repair routes through it, like Inject.
+func (e *Engine) Repair(node int) error {
+	if e.mgr == nil {
+		return ErrPlaced
+	}
+	return e.remap(remapReq{op: opRepair, node: node, step: e.managed(e.mgr.Repair, node)})
+}
+
+// managed is the remap step of a New engine: one manager fault or repair
+// under the root remap span (the causal parent of the manager's
+// detect/plan/solve/audit phases), yielding the new pipeline's interior.
+func (e *Engine) managed(op func(int) (reconfig.Tactic, error), node int) func(*span.S) (graph.Path, error) {
+	return func(root *span.S) (graph.Path, error) {
+		e.mgr.SetActiveSpan(root)
+		_, err := op(node)
+		e.mgr.SetActiveSpan(nil)
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: %w", err)
+		}
+		p := e.mgr.Pipeline()
+		return p[1 : len(p)-1], nil
+	}
+}
+
+// remap runs req through the active Stream's pump, which drains and
+// requeues the in-flight frames around it, or directly when no stream is
+// active (the engine is quiesced between Process calls).
+func (e *Engine) remap(req remapReq) error {
 	if s := e.stream.Load(); s != nil {
-		return s.remap(false, node)
+		return s.remap(req)
 	}
-	return e.applyFault(node)
-}
-
-// applyFault performs the fault injection on a quiesced engine (no frames
-// in flight): epoch-mode callers come here directly; a Stream's pump goes
-// through applyRemap under its own root span after draining its chain.
-func (e *Engine) applyFault(node int) error {
 	start := time.Now()
-	root := startRemapSpan("inject", "epoch", node)
-	err := e.applyRemap(false, node, root)
+	root := e.startRemapSpan(req, "epoch")
+	err := e.applyPlace(req, root)
 	finishRemapSpan(root, start, err)
 	return err
 }
 
-// applyRepair performs the repair on a quiesced engine; see applyFault.
-func (e *Engine) applyRepair(node int) error {
+// applyPlace runs req's step on the quiesced engine (no frames in flight)
+// under root and installs the segment it yields, updating the remap
+// metrics. On error the previous segment stays live.
+func (e *Engine) applyPlace(req remapReq, root *span.S) error {
 	start := time.Now()
-	root := startRemapSpan("repair", "epoch", node)
-	err := e.applyRemap(true, node, root)
-	finishRemapSpan(root, start, err)
-	return err
-}
-
-// applyRemap runs the fault or repair on the quiesced engine under root
-// (the causal parent of the manager's detect/plan/solve/audit phase spans;
-// nil outside traced runs) and updates the engine's remap metrics.
-func (e *Engine) applyRemap(repair bool, node int, root *span.S) error {
-	start := time.Now()
-	e.mgr.SetActiveSpan(root)
-	var err error
-	if repair {
-		_, err = e.mgr.Repair(node)
-	} else {
-		_, err = e.mgr.Fault(node)
-	}
-	e.mgr.SetActiveSpan(nil)
+	seg, err := req.step(root)
 	if err != nil {
-		return fmt.Errorf("pipeline: %w", err)
+		root.SetStr("error", err.Error())
+		return err
 	}
+	e.path = append(e.path[:0:0], seg...)
+	e.assignStages()
 	elapsed := time.Since(start)
 	e.mu.Lock()
 	e.m.RemapTime += elapsed
-	if !repair {
+	if req.op == opInject {
 		e.m.FaultsInjected++
 	}
 	e.m.Remaps++
-	e.m.Repairs = e.mgr.Stats()
-	e.mu.Unlock()
-	e.assignStages()
-	op := opInject
-	if repair {
-		op = opRepair
+	if e.mgr != nil {
+		e.m.Repairs = e.mgr.Stats()
 	}
-	e.remapLat[op].ObserveDuration(elapsed)
-	e.procsInUse.Set(int64(e.ProcessorsInUse()))
+	e.mu.Unlock()
+	e.remapLat[req.op].ObserveDuration(elapsed)
+	e.procsInUse.Set(int64(len(seg)))
+	root.SetInt("procs", int64(len(seg)))
 	return nil
 }
 
 // startRemapSpan opens the root span of one remap (nil when tracing is
-// off). op is "inject" or "repair"; mode is "epoch" (quiesced engine) or
-// "stream" (live drain/requeue around the remap).
-func startRemapSpan(op, mode string, node int) *span.S {
-	return span.Start(nil, "remap").
-		SetStr("op", op).SetStr("mode", mode).SetInt("node", int64(node))
-}
-
-// startPlaceSpan opens the root span of one placement remap, hung under
-// the executor's replan span (parent; nil outside coordinated replans)
-// and labeled with the engine's tenant.
-func (e *Engine) startPlaceSpan(parent *span.S, mode string) *span.S {
-	sp := span.Start(parent, "remap").SetStr("op", "replan").SetStr("mode", mode)
+// off) under req.parent — the executor's replan span for placements, nil
+// otherwise. mode is "epoch" (quiesced engine) or "stream" (live
+// drain/requeue around the remap).
+func (e *Engine) startRemapSpan(req remapReq, mode string) *span.S {
+	sp := span.Start(req.parent, "remap").SetStr("op", opNames[req.op]).SetStr("mode", mode)
+	if req.op != opReplan {
+		sp.SetInt("node", int64(req.node))
+	}
 	if e.tenant != "" {
 		sp.SetStr("tenant", e.tenant)
 	}
@@ -316,18 +331,6 @@ func finishRemapSpan(root *span.S, start time.Time, err error) {
 	default:
 		span.Trip(span.AnomalyRollback, err.Error())
 	}
-}
-
-// Repair marks a node healthy again and reinstates it in the pipeline.
-// While a Stream is active the repair routes through it, like Inject.
-func (e *Engine) Repair(node int) error {
-	if e.placed {
-		return ErrPlaced
-	}
-	if s := e.stream.Load(); s != nil {
-		return s.remap(true, node)
-	}
-	return e.applyRepair(node)
 }
 
 // assignStages redistributes the logical stages contiguously over the
@@ -467,40 +470,9 @@ func (e *Engine) observeEpoch(frames []Frame, elapsed time.Duration) {
 	e.epochTput.Set(int64(float64(samples*8) / elapsed.Seconds()))
 }
 
-// SetRemapDeadline bounds every reconfiguration's full-remap solve to d
-// of wall-clock time: a remap that misses it is rolled back — the previous
-// pipeline stays live and Inject/Repair report reconfig.ErrDeadline so the
-// caller can retry. 0 disables the bound. No-op in placed mode, where the
-// planner owns the solve (and its deadline).
-func (e *Engine) SetRemapDeadline(d time.Duration) {
-	if e.mgr != nil {
-		e.mgr.SetDeadline(d)
-	}
-}
-
-// SetRemapResources attaches an ambient cancellation/budget token to the
-// reconfiguration manager: canceling it aborts an in-flight remap solve
-// (the fault or repair rolls back, and the live pipeline keeps streaming
-// on the previous mapping). nil detaches. No-op in placed mode.
-func (e *Engine) SetRemapResources(r *embed.Resources) {
-	if e.mgr != nil {
-		e.mgr.SetResources(r)
-	}
-}
-
-// Downtime returns the reconfiguration manager's per-tactic downtime
-// ledger (a copy). In placed mode the ledger is empty — downtime lives in
-// the stream report and the executor's replan accounting.
-func (e *Engine) Downtime() reconfig.DowntimeStats {
-	if e.mgr == nil {
-		return reconfig.DowntimeStats{}
-	}
-	return e.mgr.Downtime()
-}
-
 // Faults returns a defensive copy of the currently injected fault set. A
-// placed engine tracks no faults of its own (the pool fault set lives in
-// the executor); it reports an empty set.
+// NewPlaced engine tracks no faults of its own (the pool fault set lives
+// in the planner's manager); it reports an empty set.
 func (e *Engine) Faults() bitset.Set {
 	if e.mgr == nil {
 		return bitset.New(e.g.NumNodes())

@@ -1,36 +1,33 @@
 package pipeline
 
-// This file is the placed-engine mode behind the multi-tenant control
-// plane (internal/plan + internal/control): instead of owning a whole
-// construct.Solution and repairing itself, a placed engine runs on a
-// *placement* — a contiguous processor segment of the global pipeline,
-// computed by an external planner — and is remapped only when the
-// planner hands it a new segment via ApplyPlacement.
+// This file builds engines for the multi-tenant control plane
+// (internal/plan + internal/control): instead of owning a whole
+// construct.Solution and its reconfig.Manager, a placed engine runs on a
+// *placement* — a contiguous processor segment of the pool's global
+// pipeline, carved by the planner — and takes new ones via ApplyPlacement.
 //
-// Everything else is shared with the self-planned mode: the batched
-// zero-allocation transport, the stream pump, and — critically — the
-// drain/requeue live-remap machinery. A coordinated replan drains the
-// tenant's in-flight frames with their stage progress, installs the new
-// segment, requeues the unfinished frames ahead of the backlog, and
-// rebuilds the chain, so a cross-tenant remap loses, duplicates, and
-// reorders nothing, exactly like a single-tenant fault remap.
+// A placement change is a remap like any fault remap, only with a
+// different step: the pump drains the tenant's in-flight frames with
+// their stage progress, installs the segment, requeues the unfinished
+// frames ahead of the backlog, and rebuilds the chain, so a cross-tenant
+// remap loses, duplicates, and reorders nothing.
 
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"gdpn/internal/graph"
 	"gdpn/internal/obs/span"
 	"gdpn/internal/stages"
 )
 
-// ErrPlaced is returned by Inject/Repair on a placed engine: faults are
-// pool-level events handled by the executor's coordinated replan, not by
-// individual engines.
+// ErrPlaced is returned by Inject/Repair on a placed engine, which has no
+// manager of its own: faults are pool-level events handled by the
+// executor's coordinated replan, not by individual engines.
 var ErrPlaced = errors.New("pipeline: engine is externally placed; route faults through the control plane")
 
-// ErrNotPlaced is returned by ApplyPlacement on a self-planned engine.
+// ErrNotPlaced is returned by ApplyPlacement on an engine built by New,
+// whose segment follows its own manager's pipeline.
 var ErrNotPlaced = errors.New("pipeline: engine plans its own pipeline; ApplyPlacement requires NewPlaced")
 
 // WithTenant labels the engine with its tenant name; remap spans carry it
@@ -48,18 +45,10 @@ func NewPlaced(g *graph.Graph, seg graph.Path, stgs []stages.Stage, opts ...Opti
 	if len(stgs) == 0 {
 		return nil, fmt.Errorf("pipeline: need at least one stage")
 	}
-	e := newEngine(g, stgs)
-	e.placed = true
-	for _, o := range opts {
-		o(e)
-	}
-	if err := e.checkPlacement(seg); err != nil {
+	if err := checkPlacement(g, seg); err != nil {
 		return nil, err
 	}
-	e.path = append(graph.Path(nil), seg...)
-	e.assignStages()
-	e.procsInUse.Set(int64(e.ProcessorsInUse()))
-	return e, nil
+	return newEngine(g, stgs, seg, opts), nil
 }
 
 // Tenant returns the engine's tenant label ("" when unset).
@@ -69,19 +58,19 @@ func (e *Engine) Tenant() string { return e.tenant }
 // non-empty simple path of processors in the pool graph. Fault- and
 // coverage-level validation (verify.CheckSegment) is the planner's job —
 // the engine does not track the pool fault set.
-func (e *Engine) checkPlacement(seg graph.Path) error {
+func checkPlacement(g *graph.Graph, seg graph.Path) error {
 	if len(seg) == 0 {
 		return fmt.Errorf("pipeline: empty placement")
 	}
 	if !seg.Distinct() {
 		return fmt.Errorf("pipeline: placement revisits a node")
 	}
-	if !seg.IsWalk(e.g) {
+	if !seg.IsWalk(g) {
 		return fmt.Errorf("pipeline: placement uses a non-edge")
 	}
 	for _, v := range seg {
-		if e.g.Kind(v) != graph.Processor {
-			return fmt.Errorf("pipeline: placement node %d is a %v, not a processor", v, e.g.Kind(v))
+		if g.Kind(v) != graph.Processor {
+			return fmt.Errorf("pipeline: placement node %d is a %v, not a processor", v, g.Kind(v))
 		}
 	}
 	return nil
@@ -95,37 +84,10 @@ func (e *Engine) checkPlacement(seg graph.Path) error {
 // causal parent of the remap span, so one replan's per-tenant remaps
 // share a root. On error the previous placement stays live.
 func (e *Engine) ApplyPlacement(seg graph.Path, parent *span.S) error {
-	if !e.placed {
+	if e.mgr != nil {
 		return ErrNotPlaced
 	}
-	if s := e.stream.Load(); s != nil {
-		return s.remapPlace(seg, parent)
-	}
-	start := time.Now()
-	root := e.startPlaceSpan(parent, "epoch")
-	err := e.applyPlace(seg, root)
-	finishRemapSpan(root, start, err)
-	return err
-}
-
-// applyPlace installs a new placement on a quiesced engine (no frames in
-// flight) and updates the remap metrics. The segment is defensively
-// copied; an invalid segment leaves the previous placement in place.
-func (e *Engine) applyPlace(seg graph.Path, root *span.S) error {
-	start := time.Now()
-	if err := e.checkPlacement(seg); err != nil {
-		root.SetStr("error", err.Error())
-		return err
-	}
-	e.path = append(e.path[:0:0], seg...)
-	e.assignStages()
-	elapsed := time.Since(start)
-	e.mu.Lock()
-	e.m.Remaps++
-	e.m.RemapTime += elapsed
-	e.mu.Unlock()
-	e.remapLat[opReplan].ObserveDuration(elapsed)
-	e.procsInUse.Set(int64(e.ProcessorsInUse()))
-	root.SetInt("procs", int64(len(seg)))
-	return nil
+	return e.remap(remapReq{op: opReplan, parent: parent, step: func(*span.S) (graph.Path, error) {
+		return seg, checkPlacement(e.g, seg)
+	}})
 }

@@ -110,15 +110,13 @@ type chain struct {
 	draining atomic.Bool // workers pass batches through untouched when set
 }
 
+// remapReq is one remap: step runs on the quiesced engine under the root
+// remap span and yields the new processor segment (see Engine.remap).
 type remapReq struct {
-	repair bool
-	node   int
-	// place, when non-nil, makes this a placement remap (placed engines
-	// only): the pump drains, installs the segment, and requeues — repair
-	// and node are ignored. parent is the causal parent for the remap span
-	// (the executor's replan span).
-	place  graph.Path
+	op     int // opInject, opRepair or opReplan
+	node   int // the faulted or repaired node (op != opReplan)
 	parent *span.S
+	step   func(root *span.S) (graph.Path, error)
 	reply  chan error
 }
 
@@ -273,24 +271,11 @@ func (s *Stream) Report() StreamReport {
 	}
 }
 
-// remap asks the pump to apply a fault or repair between frames. It
-// returns the engine's error (nil on success, reconfig.ErrDeadline-
-// wrapped on a rolled-back remap).
-func (s *Stream) remap(repair bool, node int) error {
-	req := remapReq{repair: repair, node: node, reply: make(chan error, 1)}
-	select {
-	case s.remapc <- req:
-		return <-req.reply
-	case <-s.donec:
-		return ErrStreamClosed
-	}
-}
-
-// remapPlace asks the pump to install a new placement segment between
-// frames (placed engines only); parent, when non-nil, becomes the causal
-// parent of the remap span.
-func (s *Stream) remapPlace(seg graph.Path, parent *span.S) error {
-	req := remapReq{place: seg, parent: parent, reply: make(chan error, 1)}
+// remap asks the pump to run req between frames. It returns the step's
+// error (nil on success, reconfig.ErrDeadline-wrapped on a rolled-back
+// remap).
+func (s *Stream) remap(req remapReq) error {
+	req.reply = make(chan error, 1)
 	select {
 	case s.remapc <- req:
 		return <-req.reply
@@ -444,16 +429,7 @@ func (s *Stream) run() {
 func (s *Stream) handleRemap(c *chain, inflight *int, req remapReq) *chain {
 	e := s.e
 	start := time.Now()
-	var root *span.S
-	if req.place != nil {
-		root = e.startPlaceSpan(req.parent, "stream")
-	} else {
-		op := "inject"
-		if req.repair {
-			op = "repair"
-		}
-		root = startRemapSpan(op, "stream", req.node)
-	}
+	root := e.startRemapSpan(req, "stream")
 	// 1. Drain: stop processing and flush every in-flight token out of the
 	// old mapping with its progress recorded.
 	drain := span.Start(root, "drain")
@@ -484,12 +460,7 @@ func (s *Stream) handleRemap(c *chain, inflight *int, req remapReq) *chain {
 	// 2. Remap on the quiesced engine. On error (deadline rollback,
 	// beyond-budget fault, invalid segment) the previous mapping is still
 	// in place and the chain below simply restarts over it.
-	var err error
-	if req.place != nil {
-		err = e.applyPlace(req.place, root)
-	} else {
-		err = e.applyRemap(req.repair, req.node, root)
-	}
+	err := e.applyPlace(req, root)
 	if err != nil {
 		s.remapFailures.Add(1)
 	} else {

@@ -37,6 +37,15 @@ func mustPool(t *testing.T, n, k int) *construct.Solution {
 	return sol
 }
 
+func mustPlanner(t *testing.T, sol *construct.Solution, topo *plan.Topology) *plan.Planner {
+	t.Helper()
+	p, err := plan.NewPlanner(sol, topo)
+	if err != nil {
+		t.Fatalf("NewPlanner: %v", err)
+	}
+	return p
+}
+
 func TestParseValidation(t *testing.T) {
 	cases := []struct {
 		name, src, wantErr string
@@ -79,10 +88,10 @@ func TestParseDefaults(t *testing.T) {
 func TestPlanPartition(t *testing.T) {
 	sol := mustPool(t, 12, 3)
 	topo := mustTopo(t, mixedTopo)
-	p := plan.NewPlanner(sol, topo)
+	p := mustPlanner(t, sol, topo)
 
 	empty := bitset.New(sol.Graph.NumNodes())
-	pl, err := p.Plan(empty, nil, nil, nil)
+	pl, err := p.Plan(nil, nil)
 	if err != nil {
 		t.Fatalf("Plan: %v", err)
 	}
@@ -119,28 +128,28 @@ func TestPlanPartition(t *testing.T) {
 	}
 }
 
-// TestPlanDegradesUnderFaults replans across fault sets and checks the
-// partition shrinks gracefully and the memo makes revisits free.
+// TestPlanDegradesUnderFaults replans across a fault and its repair and
+// checks the partition shrinks gracefully and grows back.
 func TestPlanDegradesUnderFaults(t *testing.T) {
 	sol := mustPool(t, 12, 3)
 	topo := mustTopo(t, mixedTopo)
-	p := plan.NewPlanner(sol, topo)
-
+	p := mustPlanner(t, sol, topo)
 	procs := sol.Graph.Processors()
-	faults := bitset.New(sol.Graph.NumNodes())
-	empty := bitset.New(sol.Graph.NumNodes())
 
-	pl0, err := p.Plan(empty, nil, nil, nil)
+	pl0, err := p.Plan(nil, nil)
 	if err != nil {
 		t.Fatalf("Plan gen0: %v", err)
 	}
-	faults.Add(procs[0])
-	pl1, err := p.Plan(faults, nil, nil, nil)
+	pl1, err := p.Fault(procs[0], nil, nil)
 	if err != nil {
-		t.Fatalf("Plan gen1: %v", err)
+		t.Fatalf("Fault gen1: %v", err)
 	}
 	if pl1.Capacity != pl0.Capacity-1 {
 		t.Fatalf("capacity after 1 fault = %d, want %d", pl1.Capacity, pl0.Capacity-1)
+	}
+	faults := p.Manager().Faults()
+	if !faults.Contains(procs[0]) {
+		t.Fatal("manager does not hold the fault")
 	}
 	total := 0
 	for _, a := range pl1.Assignments {
@@ -156,17 +165,43 @@ func TestPlanDegradesUnderFaults(t *testing.T) {
 		t.Fatalf("gen = %d, want %d", pl1.Gen, pl0.Gen+1)
 	}
 
-	// Repair back to the empty fault set: the memoized solver must answer
-	// from cache.
-	pl2, err := p.Plan(empty, nil, nil, nil)
+	// Repairing the processor grows the partition back; the manager's
+	// insert tactic answers without a solve.
+	pl2, err := p.Repair(procs[0], nil, nil)
 	if err != nil {
-		t.Fatalf("Plan gen2: %v", err)
+		t.Fatalf("Repair gen2: %v", err)
+	}
+	if pl2.Capacity != pl0.Capacity {
+		t.Fatalf("capacity after repair = %d, want %d", pl2.Capacity, pl0.Capacity)
 	}
 	if pl2.Expansions != 0 {
-		t.Fatalf("memo miss on repeated fault set: %d expansions", pl2.Expansions)
+		t.Fatalf("repair cost %d expansions, want a local insert", pl2.Expansions)
 	}
-	if hits, _ := p.Solver().Memo(); hits == 0 {
-		t.Fatal("solver memo recorded no hits")
+	if _, err := p.Repair(procs[0], nil, nil); err == nil {
+		t.Fatal("repairing a healthy processor should fail")
+	}
+}
+
+// TestPlanGenDistinctWhenAllExcluded pins Gen monotonicity on plans that
+// admit nobody: each is still a new generation.
+func TestPlanGenDistinctWhenAllExcluded(t *testing.T) {
+	sol := mustPool(t, 12, 3)
+	topo := mustTopo(t, mixedTopo)
+	p := mustPlanner(t, sol, topo)
+	all := map[string]bool{"gold-a": true, "silver-b": true, "bronze-c": true}
+	pl0, err := p.Plan(all, nil)
+	if err != nil {
+		t.Fatalf("Plan: %v", err)
+	}
+	pl1, err := p.Plan(all, nil)
+	if err != nil {
+		t.Fatalf("Plan: %v", err)
+	}
+	if len(pl0.Assignments)+len(pl1.Assignments) != 0 {
+		t.Fatalf("excluded tenants were placed: %+v %+v", pl0.Assignments, pl1.Assignments)
+	}
+	if pl1.Gen <= pl0.Gen {
+		t.Fatalf("gens %d then %d, want strictly increasing", pl0.Gen, pl1.Gen)
 	}
 }
 
@@ -183,12 +218,11 @@ func TestPlanAdmissionControl(t *testing.T) {
 	    {"name": "b2", "class": "bronze", "min_procs": 2}
 	  ]
 	}`)
-	p := plan.NewPlanner(sol, topo)
-	empty := bitset.New(sol.Graph.NumNodes())
+	p := mustPlanner(t, sol, topo)
 
 	// Floors sum to 17 > 15: exactly one bronze must go, and it must be
 	// the LATER bronze (b2).
-	pl, err := p.Plan(empty, nil, nil, nil)
+	pl, err := p.Plan(nil, nil)
 	if err != nil {
 		t.Fatalf("Plan: %v", err)
 	}
@@ -200,7 +234,7 @@ func TestPlanAdmissionControl(t *testing.T) {
 	}
 
 	// Excluding the gold tenant readmits b2.
-	pl2, err := p.Plan(empty, map[string]bool{"g": true}, nil, nil)
+	pl2, err := p.Plan(map[string]bool{"g": true}, nil)
 	if err != nil {
 		t.Fatalf("Plan with exclude: %v", err)
 	}

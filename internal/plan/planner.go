@@ -3,11 +3,10 @@ package plan
 import (
 	"fmt"
 
-	"gdpn/internal/bitset"
 	"gdpn/internal/construct"
-	"gdpn/internal/embed"
 	"gdpn/internal/graph"
 	"gdpn/internal/obs/span"
+	"gdpn/internal/reconfig"
 	"gdpn/internal/verify"
 )
 
@@ -46,8 +45,8 @@ type Plan struct {
 	Assignments []Assignment `json:"assignments"`
 	// Shed lists the tenants this plan could not place.
 	Shed []Shed `json:"shed,omitempty"`
-	// Expansions is the solver search work this plan cost (0 on a memo
-	// hit — replans revisiting a known fault set are free).
+	// Expansions is the solver search work spent since the previous plan
+	// (0 when a local tactic or a memo hit answered the fault).
 	Expansions int64 `json:"expansions"`
 }
 
@@ -62,35 +61,65 @@ func (p *Plan) Assignment(tenant string) *Assignment {
 }
 
 // Planner compiles a Topology into placement Plans for successive fault
-// sets. It owns the pool's only solver, configured with Options.Memo so
-// repeated fault sets (churn, fault/repair cycles) replan from cache, and
-// with the pool's Layout so the structured engine stays on its fast path.
-// Not safe for concurrent use; the executor serializes replans.
+// sets. It owns the pool's reconfig.Manager — the only fault set and
+// solver — so a pool fault or repair first runs the manager's tiers
+// (local splice/rewire/endpoint-swap/insert, then the warm memoized full
+// solve, every answer re-checked by verify.CheckPipeline) and the plan
+// then carves the manager's pipeline. Not safe for concurrent use; the
+// executor serializes replans.
 type Planner struct {
-	g      *graph.Graph
-	topo   *Topology
-	solver *embed.Solver
-	gen    int
+	g    *graph.Graph
+	topo *Topology
+	mgr  *reconfig.Manager
+	gen  int
+	// charged is the manager's cumulative solver expansions already
+	// reported in an earlier plan.
+	charged int64
 }
 
 // NewPlanner builds a planner for the topology over the given pool
-// solution. The topology must already be validated (Load/Parse do this).
-func NewPlanner(sol *construct.Solution, topo *Topology) *Planner {
-	return &Planner{
-		g:      sol.Graph,
-		topo:   topo,
-		solver: embed.NewSolver(sol.Graph, embed.Options{Layout: sol.Layout, Memo: true}),
+// solution, solving the pool's initial pipeline. The topology must
+// already be validated (Load/Parse do this).
+func NewPlanner(sol *construct.Solution, topo *Topology) (*Planner, error) {
+	mgr, err := reconfig.New(sol)
+	if err != nil {
+		return nil, err
 	}
+	return &Planner{g: sol.Graph, topo: topo, mgr: mgr}, nil
 }
 
-// Solver exposes the shared solver for warm/memo statistics.
-func (p *Planner) Solver() *embed.Solver { return p.solver }
+// Manager returns the pool's fault manager: its fault set, solver
+// resources (SetResources, SetDeadline) and repair statistics.
+func (p *Planner) Manager() *reconfig.Manager { return p.mgr }
 
-// Plan computes placements for the given pool fault set. exclude names
-// tenants the caller has already shed (budget exhaustion, operator
-// action); they are skipped before admission control runs. res, when
-// non-nil, bounds the solver's search (cancellation and expansion budget)
-// and parent becomes the causal parent of the "plan" span.
+// Fault marks a pool node faulty through the manager's tiers and carves
+// the resulting pipeline (see Plan). On error the manager has rolled the
+// fault back and no plan is produced. parent becomes the causal parent of
+// the manager's phase spans and of the "plan" span.
+func (p *Planner) Fault(node int, exclude map[string]bool, parent *span.S) (*Plan, error) {
+	return p.replan(p.mgr.Fault, node, exclude, parent)
+}
+
+// Repair heals a pool node through the manager's tiers and carves the
+// resulting pipeline; see Fault.
+func (p *Planner) Repair(node int, exclude map[string]bool, parent *span.S) (*Plan, error) {
+	return p.replan(p.mgr.Repair, node, exclude, parent)
+}
+
+func (p *Planner) replan(step func(int) (reconfig.Tactic, error), node int, exclude map[string]bool, parent *span.S) (*Plan, error) {
+	p.mgr.SetActiveSpan(parent)
+	_, err := step(node)
+	p.mgr.SetActiveSpan(nil)
+	if err != nil {
+		return nil, fmt.Errorf("plan: %w", err)
+	}
+	return p.Plan(exclude, parent)
+}
+
+// Plan carves the manager's current pipeline into placements. exclude
+// names tenants the caller has already shed (budget exhaustion, operator
+// action); they are skipped before admission control runs. parent
+// becomes the causal parent of the "plan" span.
 //
 // Admission control: tenants are dropped lowest class first (Bronze
 // before Silver before Gold), later topology index first within a class,
@@ -98,30 +127,22 @@ func (p *Planner) Solver() *embed.Solver { return p.solver }
 // capacity beyond the floors is split by weight using largest-remainder
 // rounding (ties to the earlier tenant), so shares always sum exactly to
 // capacity and the segments tile the global interior with no gap.
-func (p *Planner) Plan(faults bitset.Set, exclude map[string]bool, res *embed.Resources, parent *span.S) (*Plan, error) {
+func (p *Planner) Plan(exclude map[string]bool, parent *span.S) (*Plan, error) {
 	sp := span.Start(parent, "plan")
 	sp.SetInt("gen", int64(p.gen))
-	p.solver.SetResources(res)
-	p.solver.SetSpan(sp)
-	r := p.solver.Find(faults)
-	if !r.Found {
-		sp.SetStr("error", "no pipeline")
-		if r.Unknown {
-			sp.End(span.Deadline)
-			return nil, fmt.Errorf("plan: solver budget exhausted before a pipeline was found (%d expansions)", r.Expansions)
-		}
-		sp.End(span.Errored)
-		return nil, fmt.Errorf("plan: no pipeline exists for this fault set (beyond design tolerance)")
-	}
-	interior := r.Pipeline[1 : len(r.Pipeline)-1]
+	global := p.mgr.Pipeline()
+	interior := global[1 : len(global)-1]
 	capacity := len(interior)
+	st := p.mgr.Stats()
 
 	pl := &Plan{
 		Gen:        p.gen,
 		Capacity:   capacity,
-		Global:     append(graph.Path(nil), r.Pipeline...),
-		Expansions: r.Expansions,
+		Global:     append(graph.Path(nil), global...),
+		Expansions: st.Expansions - p.charged,
 	}
+	p.charged = st.Expansions
+	p.gen++
 
 	// Admission: start from every non-excluded tenant, then shed until the
 	// floors fit.
@@ -202,6 +223,7 @@ func (p *Planner) Plan(faults bitset.Set, exclude map[string]bool, res *embed.Re
 	}
 
 	// Carve the interior into contiguous segments, topology order.
+	faults := p.mgr.Faults()
 	off := 0
 	for i, c := range admitted {
 		seg := append(graph.Path(nil), interior[off:off+shares[i]]...)
@@ -217,7 +239,6 @@ func (p *Planner) Plan(faults bitset.Set, exclude map[string]bool, res *embed.Re
 		sp.End(span.Errored)
 		return nil, fmt.Errorf("plan: shares sum to %d, capacity is %d", off, capacity)
 	}
-	p.gen++
 	sp.End(span.OK)
 	return pl, nil
 }

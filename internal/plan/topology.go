@@ -1,13 +1,15 @@
 // Package plan is the planner layer of the multi-tenant control plane:
 // it compiles declarative tenant topologies (stages + SLO class + share
 // weights, loaded from JSON) into placement plans over one shared
-// construct.Solution pool. The planner owns the only solver: it computes
-// the single global healthy pipeline for the current fault set (memoized
-// across replans, so fault/repair churn revisiting a configuration costs
-// one cache hit) and carves its interior into contiguous per-tenant
-// segments. Each segment is therefore a Hamiltonian path of its placement
-// by construction — the per-tenant graceful-degradation guarantee is
-// inherited from the paper's global one rather than re-proved per tenant.
+// construct.Solution pool. The planner owns the pool's reconfig.Manager,
+// the only fault set and solver: a fault or repair runs the manager's
+// tiers (a local splice/rewire/endpoint-swap/insert when one applies,
+// else a warm memoized solve) to keep the single global healthy
+// pipeline, and the planner carves its interior into contiguous
+// per-tenant segments. Each segment is therefore a Hamiltonian path of
+// its placement by construction — the per-tenant graceful-degradation
+// guarantee is inherited from the paper's global one rather than
+// re-proved per tenant.
 //
 // The planner is pure policy: it never touches engines or frames. The
 // executor (internal/control) turns plans into running pipeline.Stream

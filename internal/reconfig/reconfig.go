@@ -16,6 +16,10 @@
 // falling back to a full solver recompute only when no local tactic
 // applies. Every repaired pipeline is certificate-checked; an invalid
 // local repair degrades to the full recompute, never to a wrong result.
+//
+// A Manager is the only owner of a fault set and a solver: a
+// pipeline.New engine holds one for its own network, and the
+// multi-tenant planner (internal/plan) holds one for the shared pool.
 package reconfig
 
 import (
@@ -76,6 +80,10 @@ type Stats struct {
 	// MovedStages accumulates |positions whose processor changed| across
 	// repairs — the state-migration cost a deployment would pay.
 	MovedStages int
+	// Expansions accumulates the solver's search work over every full
+	// solve this manager ran, the initial mapping and rolled-back solves
+	// included; callers charge the difference between two readings.
+	Expansions int64
 }
 
 // ErrDeadline is wrapped into the error returned by Fault/Repair when a
@@ -176,7 +184,7 @@ func New(sol *construct.Solution) (*Manager, error) {
 	if err := m.fullRemap(time.Now()); err != nil {
 		return nil, err
 	}
-	m.stats = Stats{} // the initial mapping is not a repair
+	m.stats = Stats{Expansions: m.stats.Expansions} // the initial mapping is not a repair
 	return m, nil
 }
 
@@ -628,6 +636,7 @@ func (m *Manager) fullRemap(started time.Time) error {
 		m.solver.SetResources(m.res)
 	}
 	res := m.solveRemap()
+	m.stats.Expansions += res.Expansions
 	solve.SetInt("expansions", res.Expansions)
 	if m.deadline > 0 && time.Since(started) > m.deadline {
 		err := fmt.Errorf("reconfig: %w (%v elapsed, deadline %v)",
