@@ -10,24 +10,27 @@
 // metrics summary is printed to stderr every -snapshot-interval.
 //
 // With -chaos the epoch model is replaced by the soak harness
-// (internal/chaos): frames stream continuously while a seeded stochastic
-// fault/repair process (-mtbf, -mttr, -burst-prob) churns the network
-// live, every remap drains and requeues in-flight frames, and the run
-// ends with an invariant report — zero frames lost, zero duplicated,
-// every healthy processor in use after every remap. The exit status is
-// non-zero if any invariant failed; rerun a failing seed with the same
-// -seed to reproduce the exact fault sequence. SIGINT/SIGTERM end the
-// soak early: the stream drains cleanly and the report — marked
-// "interrupted" — is still printed (or emitted as JSON with -json).
+// (internal/chaos): a one-tenant topology — one gold tenant on the whole
+// G(n,k) pool — runs on the control plane's executor (internal/plan,
+// internal/control) while a seeded stochastic fault/repair process
+// (-mtbf, -mttr, -burst-prob) churns the pool live. Every event triggers
+// one coordinated replan whose placement changes drain and requeue
+// in-flight frames, and the run ends with an invariant report — zero
+// frames lost, zero duplicated, a valid pool pipeline and running
+// segments that tile every healthy processor after every event. The exit
+// status is non-zero if any invariant failed; rerun a failing seed with
+// the same -seed to reproduce the exact fault sequence.
 //
-// With -tenants <topology.json> the run is the multi-tenant control-plane
-// soak: the planner/executor layers (internal/plan, internal/control) run
-// every tenant declared in the topology file on one shared pool, the
-// fault schedule hits the pool, and each event triggers one coordinated
-// replan remapping every affected tenant with per-tenant zero-loss
-// drain/requeue. The report (and exit status) covers per-tenant sink
-// audits and the partition invariant — running segments always tile the
-// healthy processors. Example topologies live under examples/topologies/.
+// With -tenants <topology.json> the same soak runs every tenant declared
+// in the topology file on one shared pool (the file declares the pool, so
+// -n/-k are ignored); one pool fault may move several tenants in a single
+// replan, and the report covers every tenant's sink audit. Example
+// topologies live under examples/topologies/.
+//
+// In both modes SIGINT/SIGTERM end the soak early: every stream drains
+// cleanly and the report — marked "interrupted" — is still printed (or
+// emitted as JSON with -json). -batch and -chan-depth tune the epoch
+// demo's transport only and are rejected with -chaos/-tenants.
 //
 // Usage:
 //
@@ -42,6 +45,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -54,11 +58,11 @@ import (
 
 	"gdpn/internal/chaos"
 	"gdpn/internal/construct"
+	"gdpn/internal/control"
 	"gdpn/internal/faults"
 	"gdpn/internal/obs"
 	"gdpn/internal/pipeline"
 	"gdpn/internal/plan"
-	"gdpn/internal/stages"
 	"gdpn/internal/telemetry"
 	"gdpn/internal/workload"
 )
@@ -74,11 +78,11 @@ func main() {
 		epochs   = flag.Int("epochs", 0, "total epochs to run (0 = stop when the fault sequence is exhausted)")
 		addr     = flag.String("metrics-addr", "", "serve /metrics and /debug/trace on this address (e.g. :9090); enables instrumentation")
 		interval = flag.Duration("snapshot-interval", 5*time.Second, "period of the one-line stderr metrics snapshot (with -metrics-addr)")
-		batch    = flag.Int("batch", 0, "frames per transport batch (0 = default 8; 1 = per-frame)")
-		chanDep  = flag.Int("chan-depth", 0, "per-stage channel depth in batches (0 = default 4)")
+		batch    = flag.Int("batch", 0, "epoch demo: frames per transport batch (0 = default 8; 1 = per-frame)")
+		chanDep  = flag.Int("chan-depth", 0, "epoch demo: per-stage channel depth in batches (0 = default 4)")
 
-		chaosMode = flag.Bool("chaos", false, "run the continuous chaos soak instead of the epoch demo")
-		tenants   = flag.String("tenants", "", "run the multi-tenant control-plane soak over this topology JSON file (pool size comes from the file; honors -duration, -mtbf, -mttr, -burst-prob, -seed, -quiet, -json)")
+		chaosMode = flag.Bool("chaos", false, "run the continuous chaos soak (a one-tenant topology on G(n,k)) instead of the epoch demo")
+		tenants   = flag.String("tenants", "", "run the chaos soak over this topology JSON file (pool size comes from the file)")
 		duration  = flag.Duration("duration", 30*time.Second, "chaos: soak length")
 		mtbf      = flag.Duration("mtbf", 3*time.Second, "chaos: mean time between processor failures")
 		mttr      = flag.Duration("mttr", 800*time.Millisecond, "chaos: mean time to repair")
@@ -117,83 +121,19 @@ func main() {
 		}
 	}
 
-	if *tenants != "" {
-		// The topology file declares its own pool; -n/-k are ignored.
-		reg.SetEnabled(true)
-		topo, err := plan.Load(*tenants)
-		if err != nil {
-			fatal(err)
+	if *chaosMode || *tenants != "" {
+		if *batch != 0 || *chanDep != 0 {
+			fatal(errors.New("-batch and -chan-depth tune the epoch demo only; the soak runs the executor's default transport"))
 		}
-		sol, err := construct.Design(topo.Pool.N, topo.Pool.K)
-		if err != nil {
-			fatal(err)
-		}
-		cfg := chaos.MultiConfig{
-			Topology:  topo,
-			Seed:      *seed,
-			Duration:  *duration,
-			MTBF:      *mtbf,
-			MTTR:      *mttr,
-			BurstProb: *burstProb,
-		}
-		if !*quiet && !*jsonOut {
-			cfg.Logf = func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			}
-		}
-		if !*jsonOut {
-			fmt.Println(sol.Graph.Summary())
-			fmt.Printf("multi-tenant soak: topology=%s tenants=%d seed=%d duration=%v mtbf=%v mttr=%v burst-prob=%.2f\n",
-				*tenants, len(topo.Tenants), *seed, *duration, *mtbf, *mttr, *burstProb)
-		}
-		rep, err := chaos.MultiRun(sol, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		if *jsonOut {
-			out := struct {
-				OK      bool               `json:"ok"`
-				Graph   string             `json:"graph"`
-				Seed    int64              `json:"seed"`
-				Report  *chaos.MultiReport `json:"report"`
-				Metrics obs.Snapshot       `json:"metrics"`
-			}{rep.OK(), sol.Graph.Name(), *seed, rep, reg.Snapshot()}
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(out); err != nil {
-				fatal(err)
-			}
-		} else {
-			fmt.Print(rep.Summary())
-		}
-		if *addr != "" {
-			fmt.Fprintln(os.Stderr, summaryLine(reg))
-		}
-		healthy := tf.Report(os.Stderr)
-		if !rep.OK() {
-			fmt.Fprintf(os.Stderr, "gdpsim: multi-tenant soak FAILED (rerun with -tenants %s -seed %d to reproduce)\n", *tenants, *seed)
-			os.Exit(1)
-		}
-		if !healthy {
-			fmt.Fprintln(os.Stderr, "gdpsim: SLO objective breached")
-			os.Exit(1)
-		}
-		return
-	}
-
-	sol, err := construct.Design(*n, *k)
-	if err != nil {
-		fatal(err)
-	}
-
-	if *chaosMode {
 		// The soak's own counters (chaos_faults_injected_total, the frame-loss
-		// gauge, remap downtime) are part of its contract: always observe.
+		// gauge, remap downtime, control_tenant_*) are part of its contract:
+		// always observe.
 		reg.SetEnabled(true)
 		// SIGINT/SIGTERM end the soak early; the report still flushes.
 		ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer cancel()
 		cfg := chaos.Config{
+			Control:       control.Config{Context: ctx},
 			Seed:          *seed,
 			Duration:      *duration,
 			MTBF:          *mtbf,
@@ -201,9 +141,22 @@ func main() {
 			BurstProb:     *burstProb,
 			RemapDeadline: *remapDL,
 			FrameSamples:  *size,
-			Batch:         *batch,
-			ChannelDepth:  *chanDep,
-			Context:       ctx,
+		}
+		// Without -tenants the soak runs a one-tenant topology on G(n,k);
+		// a topology file declares its own pool and -n/-k are ignored.
+		rerun, poolN, poolK := "-chaos", *n, *k
+		if *tenants != "" {
+			topo, err := plan.Load(*tenants)
+			if err != nil {
+				fatal(err)
+			}
+			cfg.Topology = topo
+			poolN, poolK = topo.Pool.N, topo.Pool.K
+			rerun = "-tenants " + *tenants
+		}
+		sol, err := construct.Design(poolN, poolK)
+		if err != nil {
+			fatal(err)
 		}
 		if !*quiet && !*jsonOut {
 			cfg.Logf = func(format string, args ...any) {
@@ -212,10 +165,10 @@ func main() {
 		}
 		if !*jsonOut {
 			fmt.Println(sol.Graph.Summary())
-			fmt.Printf("chaos soak: seed=%d duration=%v mtbf=%v mttr=%v burst-prob=%.2f remap-deadline=%v\n",
-				*seed, *duration, *mtbf, *mttr, *burstProb, *remapDL)
+			fmt.Printf("chaos soak: %s seed=%d duration=%v mtbf=%v mttr=%v burst-prob=%.2f remap-deadline=%v\n",
+				rerun, *seed, *duration, *mtbf, *mttr, *burstProb, *remapDL)
 		}
-		rep, err := chaos.Run(sol, nil, cfg)
+		rep, err := chaos.Run(sol, cfg)
 		if err != nil {
 			fatal(err)
 		}
@@ -240,7 +193,7 @@ func main() {
 		}
 		healthy := tf.Report(os.Stderr)
 		if !rep.OK() {
-			fmt.Fprintf(os.Stderr, "gdpsim: chaos soak FAILED (rerun with -chaos -seed %d to reproduce)\n", *seed)
+			fmt.Fprintf(os.Stderr, "gdpsim: chaos soak FAILED (rerun with %s -seed %d to reproduce)\n", rerun, *seed)
 			os.Exit(1)
 		}
 		if !healthy {
@@ -250,13 +203,12 @@ func main() {
 		return
 	}
 
-	eng, err := pipeline.New(sol, []stages.Stage{
-		stages.NewSubsample(2),
-		&stages.Rescale{Gain: 1.5, Offset: 0.1},
-		stages.NewFIR([]float64{0.25, 0.5, 0.25}),
-		stages.NewQuantize(-16, 16, 256),
-		stages.NewLZ78(4096),
-	}, pipeline.WithBatchSize(*batch), pipeline.WithChannelDepth(*chanDep))
+	sol, err := construct.Design(*n, *k)
+	if err != nil {
+		fatal(err)
+	}
+	eng, err := pipeline.New(sol, chaos.DefaultStages(),
+		pipeline.WithBatchSize(*batch), pipeline.WithChannelDepth(*chanDep))
 	if err != nil {
 		fatal(err)
 	}

@@ -1,37 +1,42 @@
-// Package chaos is the soak harness: it runs a live pipeline.Engine under
-// a seeded stochastic fault/repair schedule (internal/faults.Schedule)
-// while frames stream continuously through a pipeline.Stream, and checks
-// the paper's graceful-degradation guarantee as a *runtime* property
-// rather than a theorem:
+// Package chaos is the soak harness: it runs a topology on a
+// control.Executor under a seeded stochastic fault/repair schedule
+// (internal/faults.Schedule) while every tenant streams frames
+// continuously, and checks the paper's graceful-degradation guarantee as
+// a *runtime* property rather than a theorem:
 //
-//   - zero frame loss, zero duplication, in-order delivery across every
-//     live reconfiguration (the congested-clique "no work lost across
-//     recoveries" invariant);
-//   - after every remap the pipeline is a valid certificate
-//     (verify.CheckPipeline) and uses every healthy processor — the
-//     paper's graceful degradation, re-proved at each step of an ongoing
-//     fault process rather than for a one-shot fault set.
+//   - zero frame loss, zero duplication, in-order delivery per tenant
+//     across every coordinated replan, shed and readmission (the
+//     congested-clique "no work lost across recoveries" invariant);
+//   - after every event the pool's pipeline is a valid certificate
+//     (verify.CheckPipeline) and the running placements partition the
+//     healthy processors — disjoint valid segments (verify.CheckSegment)
+//     whose union is every healthy processor. The paper's graceful
+//     degradation, re-proved at each step of an ongoing fault process
+//     rather than for a one-shot fault set.
+//
+// A single pipeline is a one-tenant topology: with a nil Config.Topology
+// the soak runs one gold tenant on the whole pool.
 //
 // Runs are seeded and replayable: a failing nightly seed reruns locally
 // with `gdpsim -chaos -seed N` and reproduces the same fault sequence.
 package chaos
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gdpn/internal/construct"
+	"gdpn/internal/control"
 	"gdpn/internal/embed"
 	"gdpn/internal/faults"
 	"gdpn/internal/graph"
 	"gdpn/internal/obs"
 	"gdpn/internal/obs/span"
 	"gdpn/internal/pipeline"
+	"gdpn/internal/plan"
 	"gdpn/internal/reconfig"
 	"gdpn/internal/stages"
 	"gdpn/internal/verify"
@@ -42,8 +47,17 @@ import (
 // further violations are counted but summarized.
 const maxRecordedViolations = 32
 
-// Config parameterizes one soak run.
+// Config parameterizes one soak run. The zero value is usable.
 type Config struct {
+	// Topology declares the tenants (validated by plan.Parse). nil runs a
+	// one-tenant topology over the solution's pool: one gold tenant with
+	// plan.DefaultStages(), FrameSamples and MaxPending.
+	Topology *plan.Topology
+	// Control configures the executor. Its Context cancels the soak
+	// early: event sleeps wake immediately, an in-flight replan solve is
+	// abandoned (and rolled back), and Run drains every stream and
+	// returns a partial Report with Interrupted set.
+	Control control.Config
 	// Seed makes the run replayable (fault schedule and workload).
 	Seed int64
 	// Duration is the wall-clock soak length. Default 10s.
@@ -57,32 +71,27 @@ type Config struct {
 	// simultaneous faults (budget permitting). Defaults 0 / design k.
 	BurstProb float64
 	MaxBurst  int
-	// FrameSamples is the samples per frame. Default 1024.
+	// FrameSamples / MaxPending size the one-tenant topology's frames
+	// (default 1024) and stream backlog (default 64); a declared Topology
+	// carries its own.
 	FrameSamples int
-	// MaxPending is the stream's backpressure bound. Default 64.
-	MaxPending int
-	// Batch / ChannelDepth tune the engine's batched transport (frames per
-	// carrier batch, per-stage channel depth). ≤ 0 keeps the defaults.
-	Batch        int
-	ChannelDepth int
-	// RemapDeadline bounds each remap; a solve that misses it rolls back
-	// to the last valid pipeline and the fault is retried later. 0 = off.
+	MaxPending   int
+	// RemapDeadline bounds each pool remap; a solve that misses it rolls
+	// back to the last valid pipeline and the fault is retried later.
+	// 0 = off.
 	RemapDeadline time.Duration
-	// Context cancels the soak early: event sleeps wake immediately, an
-	// in-flight remap solve is abandoned (and rolled back), and Run drains
-	// the stream and returns a partial Report with Interrupted set. nil
-	// means the soak always runs to Duration.
-	Context context.Context
 	// Logf, when non-nil, narrates events live (fault/repair/rollback).
 	Logf func(format string, args ...any)
 }
 
 // Report is the end-of-run invariant report.
 type Report struct {
-	// Stream is the zero-loss ledger (lost/duplicated/out-of-order must be
-	// zero, delivered must equal submitted).
+	// Stream sums the tenants' zero-loss ledgers (lost/duplicated/
+	// out-of-order must be zero, delivered must equal submitted).
 	Stream pipeline.StreamReport `json:"stream"`
-	// Downtime is the reconfiguration manager's per-tactic ledger.
+	// Tenants are the per-tenant lifetime reports, topology order.
+	Tenants []control.TenantReport `json:"tenants"`
+	// Downtime is the pool manager's per-tactic ledger.
 	Downtime reconfig.DowntimeStats `json:"downtime"`
 	// Elapsed is the achieved wall-clock run length.
 	Elapsed time.Duration `json:"elapsed_ns"`
@@ -91,20 +100,29 @@ type Report struct {
 	FaultsInjected int `json:"faults_injected"`
 	RepairsApplied int `json:"repairs_applied"`
 	Bursts         int `json:"bursts"`
-	// DeadlineRollbacks counts remaps rolled back for missing the deadline
-	// (retried later by the schedule); OtherFailures counts unexpected
-	// apply errors — any of those is also recorded as a violation.
+	// DeadlineRollbacks counts replans rolled back for missing the
+	// deadline (retried later by the schedule); OtherFailures counts
+	// unexpected replan errors — any of those is also recorded as a
+	// violation.
 	DeadlineRollbacks int `json:"deadline_rollbacks"`
 	OtherFailures     int `json:"other_failures"`
-	// Checks counts post-remap invariant checks; Violations records the
-	// failures (capped at maxRecordedViolations, then counted).
+	// Replans counts fault-driven coordinated replans (the bootstrap plan
+	// is excluded); MaxTenantsRemapped is the most tenants one replan
+	// moved — ≥2 proves cross-tenant coordination actually happened.
+	Replans            int64 `json:"replans"`
+	MaxTenantsRemapped int   `json:"max_tenants_remapped"`
+	// Checks counts invariant checks; Violations records the failures
+	// (capped at maxRecordedViolations, then counted).
 	Checks          int      `json:"checks"`
 	Violations      []string `json:"violations,omitempty"`
 	TotalViolations int      `json:"total_violations"`
 	// FinalFaults / FinalProcsInUse snapshot the end state.
 	FinalFaults     []int `json:"final_faults"`
 	FinalProcsInUse int   `json:"final_procs_in_use"`
-	// Interrupted reports that Config.Context canceled the soak before
+	// SubmitShed totals Bronze frames dropped at intake across tenants
+	// (policy, not loss — they never entered a stream).
+	SubmitShed int64 `json:"submit_shed"`
+	// Interrupted reports that the context canceled the soak before
 	// Duration elapsed; the invariants above cover the partial run, which
 	// is still a meaningful audit (every delivered frame was checked).
 	Interrupted bool `json:"interrupted,omitempty"`
@@ -119,8 +137,8 @@ func (r *Report) violate(format string, args ...any) {
 	}
 }
 
-// OK reports whether every invariant held: clean stream and no
-// verification violations.
+// OK reports whether every invariant held: clean streams and no
+// verification violations (an unclean tenant is itself a violation).
 func (r *Report) OK() bool {
 	return r.Stream.Clean() && r.TotalViolations == 0
 }
@@ -129,12 +147,26 @@ func (r *Report) OK() bool {
 // soak run.
 func (r *Report) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "chaos soak: %v elapsed\n", r.Elapsed.Round(time.Millisecond))
+	fmt.Fprintf(&b, "chaos soak: %v elapsed, %d tenants\n", r.Elapsed.Round(time.Millisecond), len(r.Tenants))
+	for _, t := range r.Tenants {
+		state := "running"
+		if !t.Running {
+			state = "shed"
+			if t.ShedReason != "" {
+				state = "shed (" + t.ShedReason + ")"
+			}
+		}
+		fmt.Fprintf(&b, "  tenant %-12s %-6s %-18s procs=%-2d incarnations=%d submitted=%d delivered=%d remaps=%d shed-at-intake=%d\n",
+			t.Tenant, t.Class, state, t.Procs, t.Incarnations,
+			t.Stream.Submitted, t.Stream.Delivered, t.Stream.Remaps, t.SubmitShed)
+	}
 	fmt.Fprintf(&b, "  frames:     submitted=%d delivered=%d requeued=%d lost=%d duplicated=%d out-of-order=%d\n",
 		r.Stream.Submitted, r.Stream.Delivered, r.Stream.Requeued,
 		r.Stream.Lost, r.Stream.Duplicated, r.Stream.OutOfOrder)
 	fmt.Fprintf(&b, "  faults:     injected=%d repaired=%d bursts=%d deadline-rollbacks=%d other-failures=%d\n",
 		r.FaultsInjected, r.RepairsApplied, r.Bursts, r.DeadlineRollbacks, r.OtherFailures)
+	fmt.Fprintf(&b, "  replans:    %d coordinated, max tenants moved by one replan=%d\n",
+		r.Replans, r.MaxTenantsRemapped)
 	fmt.Fprintf(&b, "  remaps:     ok=%d failed=%d downtime total=%v max=%v rollback-time=%v\n",
 		r.Stream.Remaps, r.Stream.RemapFailures,
 		r.Stream.TotalDowntime.Round(time.Microsecond), r.Stream.MaxDowntime.Round(time.Microsecond),
@@ -145,7 +177,7 @@ func (r *Report) Summary() string {
 			fmt.Fprintf(&b, "%s=%v ", t, d.Round(time.Microsecond))
 		}
 	}
-	fmt.Fprintf(&b, "\n  invariants: checks=%d violations=%d (all healthy processors in use after every remap, no loss, no duplication)\n",
+	fmt.Fprintf(&b, "\n  invariants: checks=%d violations=%d (valid pool pipeline and placements partitioning every healthy processor after every event, no loss, no duplication)\n",
 		r.Checks, r.TotalViolations)
 	for _, v := range r.Violations {
 		fmt.Fprintf(&b, "    VIOLATION: %s\n", v)
@@ -162,23 +194,42 @@ func (r *Report) Summary() string {
 	return b.String()
 }
 
-// DefaultStages returns the video-style stage chain the soak (and gdpsim)
-// pushes frames through.
+// DefaultStages returns a fresh instance of the video-style stage chain,
+// plan.DefaultStages(), that the one-tenant soak (and gdpsim) pushes
+// frames through.
 func DefaultStages() []stages.Stage {
-	return []stages.Stage{
-		stages.NewSubsample(2),
-		&stages.Rescale{Gain: 1.5, Offset: 0.1},
-		stages.NewFIR([]float64{0.25, 0.5, 0.25}),
-		stages.NewQuantize(-16, 16, 256),
-		stages.NewLZ78(4096),
+	stgs, err := (&plan.TenantSpec{Stages: plan.DefaultStages()}).BuildStages()
+	if err != nil {
+		panic("chaos: default stage chain does not build: " + err.Error())
 	}
+	return stgs
 }
 
-// Run executes one soak: continuous traffic, scheduled faults/repairs,
-// invariant checks after every remap, and a final zero-loss audit. The
-// returned error covers setup problems only; invariant failures land in
-// the Report.
-func Run(sol *construct.Solution, stgs []stages.Stage, cfg Config) (*Report, error) {
+// oneTenant is the topology of a single pipeline on the whole pool.
+func oneTenant(sol *construct.Solution, cfg Config) (*plan.Topology, error) {
+	samples := cfg.FrameSamples
+	if samples <= 0 {
+		samples = 1024
+	}
+	topo := &plan.Topology{
+		Pool: plan.PoolSpec{N: sol.N, K: sol.K},
+		Tenants: []plan.TenantSpec{{
+			Name:         "soak",
+			Class:        plan.Gold,
+			FrameSamples: samples,
+			MaxPending:   cfg.MaxPending,
+			Stages:       plan.DefaultStages(),
+		}},
+	}
+	return topo, topo.Validate()
+}
+
+// Run executes one soak: per-tenant continuous traffic through a
+// control.Executor, scheduled pool faults driving coordinated replans,
+// an invariant check after every event group, and a final zero-loss
+// audit. The returned error covers setup problems only; invariant
+// failures land in the Report.
+func Run(sol *construct.Solution, cfg Config) (*Report, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 10 * time.Second
 	}
@@ -188,9 +239,6 @@ func Run(sol *construct.Solution, stgs []stages.Stage, cfg Config) (*Report, err
 	if cfg.MTTR <= 0 {
 		cfg.MTTR = 800 * time.Millisecond
 	}
-	if cfg.FrameSamples <= 0 {
-		cfg.FrameSamples = 1024
-	}
 	if cfg.MaxBurst <= 0 {
 		cfg.MaxBurst = sol.K
 	}
@@ -198,41 +246,14 @@ func Run(sol *construct.Solution, stgs []stages.Stage, cfg Config) (*Report, err
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	if len(stgs) == 0 {
-		stgs = DefaultStages()
+	topo := cfg.Topology
+	if topo == nil {
+		var err error
+		if topo, err = oneTenant(sol, cfg); err != nil {
+			return nil, err
+		}
 	}
 
-	eng, err := pipeline.New(sol, stgs,
-		pipeline.WithBatchSize(cfg.Batch), pipeline.WithChannelDepth(cfg.ChannelDepth))
-	if err != nil {
-		return nil, err
-	}
-	mgr := eng.Manager()
-	mgr.SetDeadline(cfg.RemapDeadline)
-	// Cancellation: the token aborts in-flight remap solves, the context's
-	// channel wakes event sleeps. Both latch from the same Config.Context.
-	tok := embed.NewResources(cfg.Context, 0, 0)
-	defer tok.Release()
-	mgr.SetResources(tok)
-	var ctxDone <-chan struct{}
-	if cfg.Context != nil {
-		ctxDone = cfg.Context.Done()
-	}
-	// sleep waits d (which may be ≤ 0) or until cancellation; false means
-	// the soak was interrupted.
-	sleep := func(d time.Duration) bool {
-		if d <= 0 {
-			return !tok.Stopped()
-		}
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-t.C:
-			return true
-		case <-ctxDone:
-			return false
-		}
-	}
 	sch, err := faults.NewSchedule(sol.Graph, faults.ScheduleConfig{
 		MTBF:         cfg.MTBF,
 		MTTR:         cfg.MTTR,
@@ -245,58 +266,48 @@ func Run(sol *construct.Solution, stgs []stages.Stage, cfg Config) (*Report, err
 	if err != nil {
 		return nil, err
 	}
-	st, err := eng.StartStream(pipeline.StreamConfig{MaxPending: cfg.MaxPending})
+	x, err := control.New(sol, topo, cfg.Control)
 	if err != nil {
 		return nil, err
+	}
+	x.Manager().SetDeadline(cfg.RemapDeadline)
+	var ctxDone <-chan struct{}
+	if cfg.Control.Context != nil {
+		ctxDone = cfg.Control.Context.Done()
+	}
+	// sleep waits d (which may be ≤ 0) or until cancellation; false means
+	// the soak was interrupted.
+	sleep := func(d time.Duration) bool {
+		t := time.NewTimer(max(d, 0))
+		defer t.Stop()
+		select {
+		case <-t.C:
+			return true
+		case <-ctxDone:
+			return false
+		}
 	}
 	injected := obs.Default().Counter("chaos_faults_injected_total")
 	// The soak's own root span: schedule events attach to it as they are
 	// applied, and it lands in the ring when the run finishes — a flight
-	// dump mid-soak therefore carries the remap trees, while the soak span
-	// itself shows up in end-of-run snapshots.
+	// dump mid-soak therefore carries the replan trees, while the soak
+	// span itself shows up in end-of-run snapshots.
 	soak := span.Start(nil, "soak")
-	soak.SetInt("seed", cfg.Seed).SetInt("k", int64(sol.K)).SetInt("n", int64(sol.N))
+	soak.SetInt("seed", cfg.Seed).SetInt("k", int64(sol.K)).SetInt("n", int64(sol.N)).
+		SetInt("tenants", int64(len(topo.Tenants)))
 
-	// Producer: continuous seq-numbered traffic until told to stop.
+	// One producer per tenant: continuous seq-numbered traffic. A shed
+	// tenant's producer keeps polling (brief backoff) so readmission
+	// resumes its stream; Bronze intake drops are policy, not loss, and
+	// the dropped seq is reused for the next attempt.
 	stop := make(chan struct{})
 	var producerWG sync.WaitGroup
-	producerWG.Add(1)
-	go func() {
-		defer producerWG.Done()
-		gen := workload.Video(cfg.FrameSamples/4, cfg.Seed)
-		seq := 0
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			// Lease frame storage from the engine pool (the consumer
-			// recycles it) so the soak itself runs the zero-allocation
-			// steady state it certifies.
-			d := eng.GetBuffer(cfg.FrameSamples)
-			workload.Fill(gen, d)
-			if st.Submit(pipeline.Frame{Seq: seq, Data: d}) != nil {
-				return
-			}
-			seq++
-		}
-	}()
-
-	// Consumer: drain deliveries (the stream itself audits sequence) and
-	// return their buffers to the engine pool.
-	var consumed atomic.Int64
-	consumerDone := make(chan struct{})
-	go func() {
-		defer close(consumerDone)
-		for f := range st.Out() {
-			consumed.Add(1)
-			eng.Recycle(f)
-		}
-	}()
+	for i := range topo.Tenants {
+		producerWG.Add(1)
+		go produce(x, &topo.Tenants[i], cfg.Seed+int64(i), stop, &producerWG)
+	}
 
 	rep := &Report{}
-	g := sol.Graph
 	start := time.Now()
 	end := start.Add(cfg.Duration)
 eventLoop:
@@ -304,9 +315,7 @@ eventLoop:
 		evs := sch.Next()
 		at := start.Add(evs[0].At)
 		if at.After(end) {
-			if !sleep(time.Until(end)) {
-				rep.Interrupted = true
-			}
+			rep.Interrupted = !sleep(time.Until(end))
 			break
 		}
 		if !sleep(time.Until(at)) {
@@ -317,11 +326,12 @@ eventLoop:
 			rep.Bursts++
 		}
 		for _, ev := range evs {
+			var res *control.ReplanResult
 			var err error
 			if ev.Repair {
-				err = eng.Repair(ev.Node)
+				res, err = x.Repair(ev.Node)
 			} else {
-				err = eng.Inject(ev.Node)
+				res, err = x.Inject(ev.Node)
 			}
 			switch {
 			case err == nil:
@@ -331,10 +341,10 @@ eventLoop:
 					rep.FaultsInjected++
 					injected.Inc()
 				}
-				soak.Eventf("apply", "%s procs-in-use=%d", ev, eng.ProcessorsInUse())
-				logf("chaos: %s procs-in-use=%d", ev, eng.ProcessorsInUse())
+				soak.Eventf("apply", "%s affected=%d admitted=%d shed=%d", ev, len(res.Affected), len(res.Admitted), len(res.Shed))
+				logf("chaos: %s replan gen=%d affected=%v admitted=%v shed=%v", ev, res.Gen, res.Affected, res.Admitted, res.Shed)
 			case errors.Is(err, embed.ErrCanceled):
-				// External cancellation aborted the remap mid-solve; the
+				// External cancellation aborted the replan mid-solve; the
 				// event rolled back cleanly. Not a violation — end the soak.
 				rep.Interrupted = true
 				sch.Deny(ev)
@@ -346,38 +356,37 @@ eventLoop:
 				soak.Eventf("rollback", "%s deadline: %v", ev, err)
 				logf("chaos: %s ROLLED BACK (deadline): %v", ev, err)
 			default:
-				// Within the k budget every event must apply; anything else
-				// is itself an invariant violation.
+				// Within the k budget every event must replan; anything
+				// else is itself an invariant violation.
 				rep.OtherFailures++
 				sch.Deny(ev)
 				rep.violate("apply %s: %v", ev, err)
 			}
 		}
-		rep.Checks++
-		checkInvariants(rep, eng, g, evs[0].At)
+		rep.check(x, sol.Graph, evs[0].At)
 	}
 
 	close(stop)
 	producerWG.Wait()
-	rep.Stream = st.Close()
-	<-consumerDone
-
-	rep.Downtime = mgr.Downtime()
+	rep.FinalFaults = x.Faults().Slice()
+	rep.FinalProcsInUse = rep.check(x, sol.Graph, time.Since(start))
+	rep.Downtime = x.Manager().Downtime()
+	rep.Tenants = x.Close()
 	rep.Elapsed = time.Since(start)
-	rep.FinalFaults = eng.Faults().Slice()
-	rep.FinalProcsInUse = eng.ProcessorsInUse()
-	rep.Checks++
-	checkInvariants(rep, eng, g, rep.Elapsed)
-	if got := consumed.Load(); got != rep.Stream.Delivered {
-		rep.violate("consumer saw %d frames, stream delivered %d", got, rep.Stream.Delivered)
-	}
-	if !rep.Stream.Clean() {
-		rep.violate("stream not clean: lost=%d duplicated=%d out-of-order=%d submitted=%d delivered=%d",
-			rep.Stream.Lost, rep.Stream.Duplicated, rep.Stream.OutOfOrder,
-			rep.Stream.Submitted, rep.Stream.Delivered)
+	n, maxMoved := x.Replans()
+	rep.Replans = n - 1 // exclude the bootstrap plan
+	rep.MaxTenantsRemapped = maxMoved
+	for _, t := range rep.Tenants {
+		rep.Stream = control.SumReports(rep.Stream, t.Stream)
+		rep.SubmitShed += t.SubmitShed
+		if !t.Stream.Clean() {
+			rep.violate("tenant %s not clean: lost=%d duplicated=%d out-of-order=%d submitted=%d delivered=%d",
+				t.Tenant, t.Stream.Lost, t.Stream.Duplicated, t.Stream.OutOfOrder,
+				t.Stream.Submitted, t.Stream.Delivered)
+		}
 	}
 	soak.SetInt("faults", int64(rep.FaultsInjected)).SetInt("repairs", int64(rep.RepairsApplied))
-	soak.SetInt("remaps", rep.Stream.Remaps).SetInt("violations", int64(rep.TotalViolations))
+	soak.SetInt("replans", rep.Replans).SetInt("violations", int64(rep.TotalViolations))
 	if rep.OK() {
 		soak.End(span.OK)
 	} else {
@@ -386,14 +395,79 @@ eventLoop:
 	return rep, nil
 }
 
-// checkInvariants re-proves graceful degradation on the live state: the
-// current pipeline must be a valid certificate over the current fault set
-// and must use every healthy processor.
-func checkInvariants(rep *Report, eng *pipeline.Engine, g *graph.Graph, at time.Duration) {
-	f := eng.Faults()
-	if err := verify.CheckPipeline(g, f, eng.Pipeline()); err != nil {
-		rep.violate("t=%v: invalid pipeline: %v", at.Round(time.Millisecond), err)
-		return
+// produce submits one tenant's continuous seq-numbered traffic until stop
+// closes, leasing frame storage from the tenant's engine pool (the
+// executor's consumer recycles it) so the soak runs the zero-allocation
+// steady state it certifies.
+func produce(x *control.Executor, spec *plan.TenantSpec, seed int64, stop <-chan struct{}, wg *sync.WaitGroup) {
+	defer wg.Done()
+	gen := workload.Video(spec.FrameSamples/4, seed)
+	backoff := func(d time.Duration) bool {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		select {
+		case <-t.C:
+			return true
+		case <-stop:
+			return false
+		}
+	}
+	for seq := 0; ; {
+		select {
+		case <-stop:
+			return
+		default:
+		}
+		d := x.GetBuffer(spec.Name, spec.FrameSamples)
+		workload.Fill(gen, d)
+		switch err := x.Submit(spec.Name, pipeline.Frame{Seq: seq, Data: d}); {
+		case err == nil:
+			seq++
+		case errors.Is(err, control.ErrClosed):
+			return
+		case errors.Is(err, control.ErrBackpressure):
+			// Dropped at intake by class policy; yield briefly.
+			if !backoff(200 * time.Microsecond) {
+				return
+			}
+		default:
+			// Shed tenant (or an unexpected error, which the tenant's
+			// audit records): back off so the loop cannot spin.
+			if !backoff(time.Millisecond) {
+				return
+			}
+		}
+	}
+}
+
+// check re-proves graceful degradation on the live state and returns the
+// processors in use: the pool's pipeline must be a valid certificate over
+// the current fault set, and the running segments must be disjoint valid
+// placements whose union is every healthy processor.
+func (r *Report) check(x *control.Executor, g *graph.Graph, at time.Duration) int {
+	r.Checks++
+	t := at.Round(time.Millisecond)
+	f := x.Faults()
+	if err := verify.CheckPipeline(g, f, x.Manager().Pipeline()); err != nil {
+		r.violate("t=%v: invalid pool pipeline: %v", t, err)
+	}
+	segs := x.Segments()
+	covered := make(map[int]string)
+	for name, seg := range segs {
+		if err := verify.CheckSegment(g, f, seg, seg); err != nil {
+			r.violate("t=%v: tenant %s segment invalid: %v", t, name, err)
+			return len(covered)
+		}
+		for _, v := range seg {
+			if prev, dup := covered[v]; dup {
+				r.violate("t=%v: processor %d granted to both %s and %s", t, v, prev, name)
+				return len(covered)
+			}
+			covered[v] = name
+		}
+	}
+	if len(segs) == 0 {
+		return 0 // everyone shed: nothing to cover
 	}
 	healthy := 0
 	for _, p := range g.Processors() {
@@ -401,7 +475,8 @@ func checkInvariants(rep *Report, eng *pipeline.Engine, g *graph.Graph, at time.
 			healthy++
 		}
 	}
-	if used := eng.ProcessorsInUse(); used != healthy {
-		rep.violate("t=%v: %d healthy processors but only %d in use", at.Round(time.Millisecond), healthy, used)
+	if len(covered) != healthy {
+		r.violate("t=%v: placements cover %d processors, pool has %d healthy", t, len(covered), healthy)
 	}
+	return len(covered)
 }

@@ -15,6 +15,7 @@
 package control
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -29,6 +30,7 @@ import (
 	"gdpn/internal/obs/span"
 	"gdpn/internal/pipeline"
 	"gdpn/internal/plan"
+	"gdpn/internal/reconfig"
 )
 
 var (
@@ -50,6 +52,11 @@ type Config struct {
 	// replan (0 = unlimited). Per-tenant budgets from the topology nest
 	// under it.
 	Budget int64
+	// Context is the context of the root resource token: canceling it
+	// aborts an in-flight replan solve (the pool fault rolls back and the
+	// replan fails with embed.ErrCanceled) and makes later replans fail
+	// fast. nil never cancels.
+	Context context.Context
 }
 
 // tenant is the executor's live state for one topology entry.
@@ -151,7 +158,7 @@ func New(sol *construct.Solution, topo *plan.Topology, cfg Config) (*Executor, e
 		g:        sol.Graph,
 		topo:     topo,
 		planner:  planner,
-		root:     embed.NewResources(nil, cfg.Budget, 0),
+		root:     embed.NewResources(cfg.Context, cfg.Budget, 0),
 		excluded: make(map[string]bool),
 		tenants:  make(map[string]*tenant),
 
@@ -283,17 +290,24 @@ func (x *Executor) replan(cause string, node int) (*ReplanResult, error) {
 // or "repair"; the bootstrap only carves), charge budgets, diff, and
 // apply. Caller holds x.mu. The budget-shed loop is bounded: a tenant
 // whose token stops is added to the persistent exclusion set, and the
-// planner re-carves the same pipeline without it.
-func (x *Executor) replanLocked(cause string, node int) (*ReplanResult, error) {
+// planner re-carves the same pipeline without it. The root span ends
+// through reconfig.EndRemap, so a failed replan trips the flight recorder
+// exactly as a failed engine remap does.
+func (x *Executor) replanLocked(cause string, node int) (res *ReplanResult, err error) {
 	start := time.Now()
 	root := span.Start(nil, "replan")
 	root.SetStr("cause", cause)
 	if node >= 0 {
 		root.SetInt("node", int64(node))
 	}
+	defer func() {
+		if err != nil {
+			root.SetStr("error", err.Error())
+		}
+		reconfig.EndRemap(root, err)
+	}()
 
 	var pl *plan.Plan
-	var err error
 	switch cause {
 	case "inject":
 		pl, err = x.planner.Fault(node, x.excluded, root)
@@ -308,13 +322,11 @@ func (x *Executor) replanLocked(cause string, node int) (*ReplanResult, error) {
 	faults := x.planner.Manager().Faults().Count()
 	root.SetInt("faults", int64(faults))
 	if err != nil {
-		root.SetStr("error", err.Error())
-		root.End(span.Errored)
 		return nil, err
 	}
 	x.faultsG.Set(int64(faults))
 
-	res := &ReplanResult{Gen: pl.Gen, Expansions: pl.Expansions}
+	res = &ReplanResult{Gen: pl.Gen, Expansions: pl.Expansions}
 	// Stop tenants the plan shed.
 	assigned := make(map[string]graph.Path, len(pl.Assignments))
 	for _, a := range pl.Assignments {
@@ -339,8 +351,6 @@ func (x *Executor) replanLocked(cause string, node int) (*ReplanResult, error) {
 		switch {
 		case !t.running:
 			if err := x.startTenantLocked(t, seg, root); err != nil {
-				root.SetStr("error", err.Error())
-				root.End(span.Errored)
 				return nil, fmt.Errorf("control: starting tenant %q: %w", name, err)
 			}
 			res.Admitted = append(res.Admitted, name)
@@ -348,8 +358,6 @@ func (x *Executor) replanLocked(cause string, node int) (*ReplanResult, error) {
 			res.Unchanged = append(res.Unchanged, name)
 		default:
 			if err := t.eng.ApplyPlacement(seg, root); err != nil {
-				root.SetStr("error", err.Error())
-				root.End(span.Errored)
 				return nil, fmt.Errorf("control: remapping tenant %q: %w", name, err)
 			}
 			t.segment = append(t.segment[:0:0], seg...)
@@ -373,7 +381,6 @@ func (x *Executor) replanLocked(cause string, node int) (*ReplanResult, error) {
 		SetInt("admitted", int64(len(res.Admitted))).
 		SetInt("shed", int64(len(res.Shed))).
 		SetInt("expansions", pl.Expansions)
-	root.End(span.OK)
 	return res, nil
 }
 
@@ -442,7 +449,7 @@ func (x *Executor) startTenantLocked(t *tenant, seg graph.Path, parent *span.S) 
 func (x *Executor) stopTenantLocked(t *tenant, reason string) {
 	rep := t.st.Close()
 	t.consumerWG.Wait()
-	t.agg = sumReports(t.agg, rep)
+	t.agg = SumReports(t.agg, rep)
 	t.eng, t.st = nil, nil
 	t.segment = nil
 	t.running = false
@@ -485,6 +492,12 @@ func (x *Executor) Faults() bitset.Set {
 	defer x.mu.Unlock()
 	return x.planner.Manager().Faults()
 }
+
+// Manager returns the pool's reconfig.Manager — its remap deadline
+// (SetDeadline), pipeline, fault set and downtime ledger — mirroring
+// pipeline.Engine.Manager. The manager is not safe for concurrent use:
+// call it only while no Inject/Repair is in flight.
+func (x *Executor) Manager() *reconfig.Manager { return x.planner.Manager() }
 
 // Segments returns each running tenant's current placement — the live
 // partition of the pool, for invariant checks.
@@ -553,9 +566,9 @@ func segEqual(a, b graph.Path) bool {
 	return true
 }
 
-// sumReports folds incarnation reports: counters add, MaxDowntime takes
-// the max.
-func sumReports(a, b pipeline.StreamReport) pipeline.StreamReport {
+// SumReports folds stream reports (a tenant's incarnations, a soak's
+// tenants): counters add, MaxDowntime takes the max.
+func SumReports(a, b pipeline.StreamReport) pipeline.StreamReport {
 	a.Submitted += b.Submitted
 	a.Delivered += b.Delivered
 	a.Requeued += b.Requeued

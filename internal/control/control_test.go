@@ -3,14 +3,18 @@ package control_test
 import (
 	"errors"
 	"math/rand"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
 	"gdpn/internal/construct"
 	"gdpn/internal/control"
 	"gdpn/internal/graph"
+	"gdpn/internal/obs/span"
 	"gdpn/internal/pipeline"
 	"gdpn/internal/plan"
+	"gdpn/internal/reconfig"
 	"gdpn/internal/verify"
 )
 
@@ -338,4 +342,56 @@ func TestExecutorReplanUsesLocalTier(t *testing.T) {
 		t.Fatalf("splice-able fault cost %d expansions, want 0 (local tier)", res.Expansions)
 	}
 	checkPartition(t, x, &bare)
+}
+
+// TestFailedReplanTripsFlightRecorder: a coordinated replan that misses
+// the pool manager's remap deadline rolls back, leaves every placement as
+// it was, and trips the armed flight recorder with a remap_deadline dump,
+// as a failed engine remap does.
+func TestFailedReplanTripsFlightRecorder(t *testing.T) {
+	sol, err := construct.Design(10, 2)
+	if err != nil {
+		t.Fatalf("Design: %v", err)
+	}
+	topo, err := plan.Parse([]byte(`{"pool": {"n": 10, "k": 2}, "tenants": [{"name": "solo"}]}`))
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	x, err := control.New(sol, topo, control.Config{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer x.Close()
+	dir := t.TempDir()
+	rec := span.DefaultRecorder()
+	if err := rec.Arm(span.RecorderConfig{Dir: dir}); err != nil {
+		t.Fatalf("Arm: %v", err)
+	}
+	defer rec.Disarm()
+
+	before := x.Segments()
+	// G(10,2) terminals have degree 1, so faulting a pipeline endpoint has
+	// no local tactic and needs the full solve that a 1ns deadline fails.
+	x.Manager().SetDeadline(1)
+	victim := x.Manager().Pipeline()[0]
+	if _, err := x.Inject(victim); !errors.Is(err, reconfig.ErrDeadline) {
+		t.Fatalf("Inject(%d) = %v, want reconfig.ErrDeadline", victim, err)
+	}
+	if x.Faults().Contains(victim) {
+		t.Fatal("failed replan left the fault recorded")
+	}
+	if after := x.Segments(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("failed replan moved placements: before %v, after %v", before, after)
+	}
+	dumps, err := filepath.Glob(filepath.Join(dir, "flight-*.json"))
+	if err != nil || len(dumps) == 0 {
+		t.Fatalf("no flight dump written (glob err %v)", err)
+	}
+	d, err := span.ReadDump(dumps[0])
+	if err != nil {
+		t.Fatalf("ReadDump: %v", err)
+	}
+	if d.Kind != span.AnomalyDeadline {
+		t.Fatalf("dump kind = %s, want %s", d.Kind, span.AnomalyDeadline)
+	}
 }

@@ -226,37 +226,6 @@ func TestSolverTokenBudgetExhaustsAsUnknown(t *testing.T) {
 	}
 }
 
-// TestSolverDeadlineShimStillWorks: Options.Deadline and SetDeadline keep
-// their wall-clock semantics on top of the token implementation.
-func TestSolverDeadlineShimStillWorks(t *testing.T) {
-	g := construct.G2(3)
-	s := NewSolver(g, Options{Method: Backtracking})
-	s.SetDeadline(time.Hour)
-	if res := s.Find(nil); !res.Found {
-		t.Fatal("generous deadline should not block the solve")
-	}
-	s.SetDeadline(time.Nanosecond)
-	// A 1ns deadline is expired before the timer can even be serviced;
-	// Scoped() arms the timer and the engine sees the stop at its first
-	// batched check or the timer fires immediately. Either way the call
-	// must not report a definitive not-found.
-	faults := bitset.New(g.NumNodes())
-	deadlineHit := false
-	for i := 0; i < 50; i++ {
-		if res := s.Find(faults); res.Unknown {
-			deadlineHit = true
-			break
-		}
-	}
-	if !deadlineHit {
-		t.Log("1ns deadline never observed (fast machine); acceptable but unexpected")
-	}
-	s.SetDeadline(0)
-	if res := s.Find(nil); !res.Found {
-		t.Fatal("clearing the deadline should restore normal solving")
-	}
-}
-
 // TestRaceMatchesStagedOnAllFaultSets is the engine-level A/B: on a small
 // instance, racing Auto must reach the identical found/not-found verdict
 // as staged Auto for every fault set of size <= k.

@@ -9,6 +9,7 @@ import (
 
 	"gdpn/internal/baseline"
 	"gdpn/internal/bitset"
+	"gdpn/internal/chaos"
 	"gdpn/internal/construct"
 	"gdpn/internal/embed"
 	"gdpn/internal/faults"
@@ -221,13 +222,7 @@ func runS1(cfg Config) *Table {
 		t.Note("%v", err)
 		return t
 	}
-	eng, err := pipeline.New(sol, []stages.Stage{
-		stages.NewSubsample(2),
-		&stages.Rescale{Gain: 1.5, Offset: 0.1},
-		stages.NewFIR([]float64{0.25, 0.5, 0.25}),
-		stages.NewQuantize(-16, 16, 256),
-		stages.NewLZ78(4096),
-	})
+	eng, err := pipeline.New(sol, chaos.DefaultStages())
 	if err != nil {
 		t.Note("%v", err)
 		return t

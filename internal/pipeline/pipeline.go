@@ -24,7 +24,6 @@
 package pipeline
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -32,7 +31,6 @@ import (
 
 	"gdpn/internal/bitset"
 	"gdpn/internal/construct"
-	"gdpn/internal/embed"
 	"gdpn/internal/graph"
 	"gdpn/internal/obs"
 	"gdpn/internal/obs/span"
@@ -308,29 +306,14 @@ func (e *Engine) startRemapSpan(req remapReq, mode string) *span.S {
 	return sp
 }
 
-// finishRemapSpan ends a root remap span with the status and cancellation
-// reason derived from err, feeds the SLO remap-latency objective, and —
-// after the span is in the ring, so a dump contains the whole tree —
-// trips the flight recorder on deadline misses and rollbacks. Deliberate
-// cancellations (shutdown) are not anomalies and do not trip.
+// finishRemapSpan feeds the SLO remap-latency objective and ends a root
+// remap span through reconfig.EndRemap, which decides its status and
+// whether the flight recorder trips.
 func finishRemapSpan(root *span.S, start time.Time, err error) {
-	st, reason := reconfig.RemapStatus(err)
-	if reason != "" {
-		root.SetStr("cancel_reason", reason)
-	}
-	root.End(st)
 	if slo := span.DefaultSLO(); slo.Enabled() {
 		slo.Observe("remap", time.Since(start))
 	}
-	switch {
-	case err == nil || errors.Is(err, embed.ErrCanceled):
-	case errors.Is(err, reconfig.ErrDeadline) || errors.Is(err, embed.ErrDeadline):
-		span.Trip(span.AnomalyDeadline, err.Error())
-	case errors.Is(err, embed.ErrBudget):
-		span.Trip(span.AnomalyBudget, err.Error())
-	default:
-		span.Trip(span.AnomalyRollback, err.Error())
-	}
+	reconfig.EndRemap(root, err)
 }
 
 // assignStages redistributes the logical stages contiguously over the

@@ -252,6 +252,25 @@ func endPhase(sp *span.S, err error) {
 	sp.End(st)
 }
 
+// EndRemap ends the root span of a remap (an engine's "remap", the
+// executor's "replan") with the status and cancellation reason derived
+// from err and — after the span is in the ring, so a dump contains the
+// whole tree — trips the flight recorder on deadline misses, budget
+// exhaustion and rollbacks. Deliberate cancellations (shutdown) are not
+// anomalies and do not trip.
+func EndRemap(root *span.S, err error) {
+	endPhase(root, err)
+	switch {
+	case err == nil || errors.Is(err, embed.ErrCanceled):
+	case errors.Is(err, ErrDeadline) || errors.Is(err, embed.ErrDeadline):
+		span.Trip(span.AnomalyDeadline, err.Error())
+	case errors.Is(err, embed.ErrBudget):
+		span.Trip(span.AnomalyBudget, err.Error())
+	default:
+		span.Trip(span.AnomalyRollback, err.Error())
+	}
+}
+
 // Downtime returns a copy of the per-tactic downtime ledger.
 func (m *Manager) Downtime() DowntimeStats {
 	ds := DowntimeStats{
