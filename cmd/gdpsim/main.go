@@ -79,7 +79,7 @@ func main() {
 		addr     = flag.String("metrics-addr", "", "serve /metrics and /debug/trace on this address (e.g. :9090); enables instrumentation")
 		interval = flag.Duration("snapshot-interval", 5*time.Second, "period of the one-line stderr metrics snapshot (with -metrics-addr)")
 		batch    = flag.Int("batch", 0, "epoch demo: frames per transport batch (0 = default 8; 1 = per-frame)")
-		chanDep  = flag.Int("chan-depth", 0, "epoch demo: per-stage channel depth in batches (0 = default 4)")
+		chanDep  = flag.Int("chan-depth", 0, "epoch demo: per-worker channel depth in batches (0 = default 4)")
 
 		chaosMode = flag.Bool("chaos", false, "run the continuous chaos soak (a one-tenant topology on G(n,k)) instead of the epoch demo")
 		tenants   = flag.String("tenants", "", "run the chaos soak over this topology JSON file (pool size comes from the file)")

@@ -1,25 +1,30 @@
 package pipeline
 
 // This file is the zero-allocation batched transport (ROADMAP item 3):
-// frames move through the goroutine-per-processor chain in pooled
-// frameBatch carriers instead of one channel send per frame per stage,
-// and every sample buffer a frame occupies after its first processing
-// position comes from (and returns to) a sync.Pool. In steady state —
+// frames move through the chain in frameBatch carriers instead of one
+// channel send per frame per stage, and sample buffers and carriers come
+// from (and return to) bounded engine-owned free lists. In steady state —
 // producer leasing buffers with GetBuffer, consumer returning them with
 // Recycle — the per-frame path performs zero heap allocations.
 //
-// Buffer lifecycle (the ownership rules; see DESIGN.md §12):
+// Physical layout (DESIGN.md §12): a chain runs one worker per
+// stage-bearing position. Relay positions fold into the worker after them
+// and trailing relays into the last one, so they carry the stream without
+// a goroutine or channel hop of their own; logical positions, and so the
+// fault, placement and audit semantics, are unchanged.
+//
+// Buffer lifecycle (the ownership rules):
 //
 //   - Stream.Submit transfers ownership of Frame.Data to the stream: the
-//     storage is rewrapped and eventually recycled, so producers must not
-//     retain a submitted slice. Epoch-mode Process does NOT take
+//     storage is processed in place and eventually recycled, so producers
+//     must not retain a submitted slice. Epoch-mode Process does NOT take
 //     ownership — callers may reuse the same input frames across calls.
 //   - Stage outputs alias per-stage scratch, so a worker detaches each
-//     processed frame into a pooled buffer and releases the frame's
-//     previous buffer back to the pool in the same step.
-//   - Frames handed to the consumer (Stream.Out / Process return) own
-//     their buffer. Returning it via Engine.Recycle closes the loop;
-//     dropping it instead is safe but costs one pool miss later.
+//     processed frame: into the frame's own engine-owned buffer when it
+//     fits, else into a pooled buffer (see processToken).
+//   - Frames handed to the consumer (Stream.Out / Process return) own their
+//     buffer. Returning it via Engine.Recycle closes the loop; dropping it
+//     instead is safe but costs one pool miss later.
 
 import (
 	"sync"
@@ -35,6 +40,7 @@ const (
 	DefaultBatchSize    = 8
 	DefaultChannelDepth = 4
 	maxBatchSize        = 1024
+	defaultMaxPending   = 64
 )
 
 // Option tunes an Engine at construction time.
@@ -55,7 +61,7 @@ func WithBatchSize(n int) Option {
 	}
 }
 
-// WithChannelDepth sets the per-position channel buffer, in batches
+// WithChannelDepth sets the per-worker channel buffer, in batches
 // (default DefaultChannelDepth — the old hardcoded depth). Values <= 0
 // are ignored.
 func WithChannelDepth(d int) Option {
@@ -66,109 +72,100 @@ func WithChannelDepth(d int) Option {
 	}
 }
 
-// fbuf wraps one pooled sample buffer. The wrapper is pooled separately
-// from its storage so that recycling a raw []float64 (Recycle) and
-// releasing storage to a consumer (emit) both stay allocation-free:
-// pooling a bare slice would box the header on every Put.
-type fbuf struct {
-	data []float64
+// freeList is a bounded, mutex-guarded stack of reusable items. Unlike
+// sync.Pool it keeps what it is given (up to max) across GC cycles and
+// processors: whether an item comes back is not a scheduling outcome.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	items []T
+	max   int
 }
 
-// bufPool recycles frame-sized sample buffers. hits/misses always count
-// (they are the pool's own accounting, read by tests and the S3
-// experiment); the obs counters cost one atomic load when disabled.
-type bufPool struct {
-	full  sync.Pool // *fbuf with usable storage
-	empty sync.Pool // *fbuf wrappers whose storage was handed off
+func (l *freeList[T]) get() (x T, ok bool) {
+	l.mu.Lock()
+	if n := len(l.items) - 1; n >= 0 {
+		x, ok = l.items[n], true
+		clear(l.items[n:]) // the list must not pin what it handed out
+		l.items = l.items[:n]
+	}
+	l.mu.Unlock()
+	return x, ok
+}
 
+// put keeps x unless the list is full.
+func (l *freeList[T]) put(x T) {
+	l.mu.Lock()
+	if len(l.items) < l.max {
+		l.items = append(l.items, x)
+	}
+	l.mu.Unlock()
+}
+
+// reserve raises the bound to at least n.
+func (l *freeList[T]) reserve(n int) {
+	l.mu.Lock()
+	l.max = max(l.max, n)
+	l.mu.Unlock()
+}
+
+// bufPool recycles frame-sized sample buffers through a free list.
+// hits/misses always count (they are the pool's own accounting, read by
+// tests and the S3 experiment); the obs counters cost one atomic load
+// when disabled.
+type bufPool struct {
+	free   freeList[[]float64]
 	hits   atomic.Int64
 	misses atomic.Int64
 	hitC   *obs.Counter
 	missC  *obs.Counter
 }
 
-// get leases a buffer of length n, reusing pooled storage when one with
-// enough capacity is available.
-func (p *bufPool) get(n int) *fbuf {
-	if v := p.full.Get(); v != nil {
-		b := v.(*fbuf)
-		if cap(b.data) >= n {
-			p.hits.Add(1)
-			p.hitC.Inc()
-			b.data = b.data[:n]
-			return b
-		}
-		// Keep the wrapper, grow its storage.
-		p.misses.Add(1)
-		p.missC.Inc()
-		b.data = make([]float64, n)
-		return b
+// get leases a buffer of length n, reusing the most recently returned
+// storage when it has the capacity.
+func (p *bufPool) get(n int) []float64 {
+	if b, ok := p.free.get(); ok && cap(b) >= n {
+		p.hits.Add(1)
+		p.hitC.Inc()
+		return b[:n]
 	}
 	p.misses.Add(1)
 	p.missC.Inc()
-	return &fbuf{data: make([]float64, n)}
+	return make([]float64, n)
 }
 
-// put returns a buffer (wrapper + storage) to the pool.
-func (p *bufPool) put(b *fbuf) {
-	if b == nil || cap(b.data) == 0 {
-		return
+// put returns a buffer's whole storage to the free list.
+func (p *bufPool) put(b []float64) {
+	if cap(b) > 0 {
+		p.free.put(b[:cap(b)])
 	}
-	p.full.Put(b)
 }
 
-// wrap adopts caller-owned storage into a pooled wrapper (Submit,
-// Recycle). Returns nil for zero-capacity slices.
-func (p *bufPool) wrap(d []float64) *fbuf {
-	if cap(d) == 0 {
-		return nil
-	}
-	var b *fbuf
-	if v := p.empty.Get(); v != nil {
-		b = v.(*fbuf)
-	} else {
-		b = new(fbuf)
-	}
-	b.data = d[:cap(d)]
-	return b
-}
-
-// release hands a buffer's storage to the consumer and keeps the
-// wrapper for reuse.
-func (p *bufPool) release(b *fbuf) {
-	if b == nil {
-		return
-	}
-	b.data = nil
-	p.empty.Put(b)
-}
-
-// stats returns the lifetime hit/miss counts.
-func (p *bufPool) stats() (hits, misses int64) {
-	return p.hits.Load(), p.misses.Load()
+// reserve bounds the free lists by the most buffers (or carriers) a
+// stream with the given backlog bound holds at once — backlog, submit
+// buffer, chain and a full Out — so its own population never overflows
+// them. Nothing is allocated ahead of use.
+func (e *Engine) reserve(maxPending int) {
+	n := 2*(maxPending+e.maxInflight) + e.batchSize
+	e.pool.free.reserve(n)
+	e.batches.reserve(n)
 }
 
 // GetBuffer leases an n-sample buffer from the engine's pool. Pairing it
 // with Recycle on delivered frames makes a producer/consumer loop
 // allocation-free in steady state. The buffer is ordinary memory — there
 // is no obligation to submit it.
-func (e *Engine) GetBuffer(n int) []float64 {
-	b := e.pool.get(n)
-	d := b.data
-	e.pool.release(b)
-	return d
-}
+func (e *Engine) GetBuffer(n int) []float64 { return e.pool.get(n) }
 
 // Recycle returns a delivered frame's buffer to the engine's pool. Only
 // the consumer that received the frame may call it, and the slice must
 // not be used afterwards.
-func (e *Engine) Recycle(f Frame) {
-	e.pool.put(e.pool.wrap(f.Data))
-}
+func (e *Engine) Recycle(f Frame) { e.pool.put(f.Data) }
 
 // PoolStats returns the buffer pool's lifetime hit and miss counts
 // (also exported as pipeline_pool_total{result="hit"|"miss"}).
-func (e *Engine) PoolStats() (hits, misses int64) { return e.pool.stats() }
+func (e *Engine) PoolStats() (hits, misses int64) {
+	return e.pool.hits.Load(), e.pool.misses.Load()
+}
 
 // frameBatch carries up to Engine.batchSize tokens per chain send,
 // amortizing channel synchronization across the whole batch.
@@ -177,43 +174,46 @@ type frameBatch struct {
 }
 
 func (e *Engine) getBatch() *frameBatch {
-	if v := e.batchPool.Get(); v != nil {
-		return v.(*frameBatch)
+	if b, ok := e.batches.get(); ok {
+		return b
 	}
 	return &frameBatch{toks: make([]token, 0, e.batchSize)}
 }
 
 func (e *Engine) putBatch(b *frameBatch) {
-	if b == nil {
-		return
-	}
-	clear(b.toks) // drop buffer references so the pool retains no frames
+	clear(b.toks) // drop buffer references so the free list retains no frames
 	b.toks = b.toks[:0]
-	e.batchPool.Put(b)
+	e.batches.put(b)
 }
 
-// newChain spins up one goroutine per pipeline position over the current
-// stage assignment, wired by channels carrying frame batches.
+// newChain starts one worker per stage-bearing position of the current
+// stage assignment (relays fold in; see above), wired by channels
+// carrying frame batches.
 func (e *Engine) newChain() *chain {
-	L := len(e.assign)
-	chans := make([]chan *frameBatch, L+1)
+	var workers [][]int
+	for _, owned := range e.assign {
+		if len(owned) > 0 {
+			workers = append(workers, owned)
+		}
+	}
+	chans := make([]chan *frameBatch, len(workers)+1)
 	for i := range chans {
 		chans[i] = make(chan *frameBatch, e.chanDepth)
 	}
-	c := &chain{head: chans[0], tail: chans[L]}
-	for pos := 0; pos < L; pos++ {
-		go e.batchWorker(c, chans[pos], chans[pos+1], e.assign[pos])
+	c := &chain{head: chans[0], tail: chans[len(workers)]}
+	for w, owned := range workers {
+		go e.batchWorker(c, chans[w], chans[w+1], owned)
 	}
 	return c
 }
 
-// batchWorker applies the position's owned stages to every token of each
-// batch and forwards the carrier; while the chain drains (or when the
-// position is a pass-through relay) batches move through untouched.
+// batchWorker applies its positions' stages to every token of each batch
+// and forwards the carrier; while the chain drains batches move through
+// untouched.
 func (e *Engine) batchWorker(c *chain, in <-chan *frameBatch, out chan<- *frameBatch, owned []int) {
 	S := len(e.stages)
 	for b := range in {
-		if len(owned) > 0 && !c.draining.Load() {
+		if !c.draining.Load() {
 			observing := e.reg.Enabled()
 			var work time.Time
 			if observing {
@@ -237,7 +237,7 @@ func (e *Engine) batchWorker(c *chain, in <-chan *frameBatch, out chan<- *frameB
 
 // processToken runs the owned logical stages the token has not yet seen
 // (t.next skips ones applied before a previous remap) and detaches the
-// result into a pooled buffer, releasing the token's previous buffer.
+// result from stage scratch.
 func (e *Engine) processToken(t *token, owned []int, S int) {
 	if t.next >= S {
 		return
@@ -255,12 +255,19 @@ func (e *Engine) processToken(t *token, owned []int, S int) {
 		return
 	}
 	// Stage outputs alias per-stage scratch, valid only until that stage
-	// runs again — copy out before the next token reuses it. The copy
-	// completes before the old buffer is pooled, so a stage returning its
-	// input unchanged is still safe.
+	// runs again — copy out before the next token reuses it. Stages never
+	// retain their input, so an engine-owned buffer with room takes the
+	// result in place (copy is a memmove: a stage returning its input is
+	// safe). Caller-owned inputs and grown outputs move to a pool buffer.
+	if t.owned && cap(t.data) >= len(data) {
+		t.data = t.data[:len(data)]
+		copy(t.data, data)
+		return
+	}
 	nb := e.pool.get(len(data))
-	copy(nb.data, data)
-	e.pool.put(t.buf)
-	t.buf = nb
-	t.data = nb.data
+	copy(nb, data)
+	if t.owned {
+		e.pool.put(t.data)
+	}
+	t.data, t.owned = nb, true
 }

@@ -91,9 +91,6 @@ func TestStreamRemapAtEveryBatchOffset(t *testing.T) {
 // TestBufferPoolRoundTrip pins the GetBuffer/Recycle contract: a recycled
 // buffer satisfies the next lease without allocating new storage.
 func TestBufferPoolRoundTrip(t *testing.T) {
-	if raceDetector {
-		t.Skip("sync.Pool drops Puts at random under -race")
-	}
 	eng := mustEngineOpts(t, 10, 2)
 	d := eng.GetBuffer(256)
 	if len(d) != 256 {
@@ -122,7 +119,7 @@ func TestBufferPoolRoundTrip(t *testing.T) {
 // growth, pool rebalancing); per-frame cost must still round to zero.
 func TestStreamSteadyStateZeroAlloc(t *testing.T) {
 	if raceDetector {
-		t.Skip("sync.Pool drops Puts at random under -race")
+		t.Skip("the race detector's scheduling lets the live buffer population outgrow the warm-up peak, even at GOMAXPROCS=1")
 	}
 	sol, err := construct.Design(12, 3)
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 // steady state — and checks, under the race detector, that (a) each
 // stream's sequence audit stays clean independently, (b) the delivered
 // data of each tenant is bit-identical to its own sequential reference
-// (a buffer leaked between the engines' sync.Pool recyclers would corrupt
+// (a buffer leaked between the engines' free lists would corrupt
 // content, not just counters), and (c) a coordinated boundary swap that
 // remaps BOTH engines mid-traffic preserves all of the above.
 func TestMultiTenantDisjointStreams(t *testing.T) {

@@ -1,7 +1,8 @@
 // Package pipeline is the streaming runtime that the paper's constructions
 // exist to serve (§1): it maps a sequence of signal-processing stages onto
 // the processors of a gracefully degradable pipeline network, pumps frames
-// through a goroutine-per-processor channel chain, and — when a fault is
+// through a channel chain of workers that fuses pass-through relay
+// processors into the stage-bearing ones, and — when a fault is
 // injected — asks its reconfig.Manager for a new pipeline over the
 // remaining healthy processors and remaps the stages onto it. Every
 // remap, a fault, a repair or a new placement from the multi-tenant
@@ -16,8 +17,8 @@
 //
 // The engine is instrumented through internal/obs (disabled by default, so
 // hot paths pay one atomic load): per-frame end-to-end latency
-// (pipeline_frame_latency_ns), per-position stage processing time
-// (pipeline_stage_ns), channel-send stall time (pipeline_send_stall_ns),
+// (pipeline_frame_latency_ns), per-worker stage processing time and
+// channel-send stall (pipeline_stage_ns, pipeline_send_stall_ns),
 // per-epoch wall time and throughput (pipeline_epoch_ns,
 // pipeline_epoch_throughput_bps), and remap latency by operation
 // (pipeline_remap_ns{op="inject"|"repair"|"replan"}).
@@ -83,12 +84,16 @@ type Engine struct {
 	// through it so remaps drain and requeue in-flight frames.
 	stream atomic.Pointer[Stream]
 
-	// Batched-transport tuning (see batch.go) and the buffer/batch pools
-	// behind the zero-allocation steady state.
-	batchSize int
-	chanDepth int
-	pool      bufPool
-	batchPool sync.Pool // *frameBatch
+	// Batched-transport tuning (see batch.go) and the buffer/carrier free
+	// lists behind the zero-allocation steady state. maxInflight bounds
+	// the frames a stream admits into the chain: two batches per pool
+	// processor keep every worker busy while keeping the in-flight
+	// population small and independent of the channel depth.
+	batchSize   int
+	chanDepth   int
+	maxInflight int
+	pool        bufPool
+	batches     freeList[*frameBatch]
 
 	reg            *obs.Registry
 	framesTotal    *obs.Counter
@@ -164,6 +169,8 @@ func newEngine(g *graph.Graph, stgs []stages.Stage, seg graph.Path, opts []Optio
 	for _, o := range opts {
 		o(e)
 	}
+	e.maxInflight = 2 * (len(g.Processors()) + 1) * e.batchSize
+	e.reserve(defaultMaxPending)
 	e.path = append(graph.Path(nil), seg...)
 	e.assignStages()
 	e.procsInUse.Set(int64(len(seg)))
@@ -335,16 +342,15 @@ func (e *Engine) assignStages() {
 	// healthy processors.
 }
 
-// Process streams the frames through the current mapping using one
-// goroutine per pipeline processor connected by channels carrying pooled
-// frame batches, and returns the transformed frames in order. Stages with
-// internal state carry it across calls. Faults are injected between
-// Process calls (epoch model).
+// Process streams the frames through the current mapping's worker chain
+// in pooled frame batches and returns the transformed frames in order.
+// Stages with internal state carry it across calls. Faults are injected
+// between Process calls (epoch model).
 //
-// Input buffers stay caller-owned (the first processing position copies
-// into a pooled buffer), so callers may reuse the same input frames
-// across calls. Output buffers come from the engine's pool; returning
-// them via Recycle after use keeps the path allocation-free.
+// Input buffers stay caller-owned (the first worker copies them into
+// pooled buffers), so callers may reuse the same input frames across
+// calls. Output buffers come from the engine's pool; returning them via
+// Recycle after use keeps the path allocation-free.
 func (e *Engine) Process(frames []Frame) []Frame {
 	// Sampled once per epoch: the per-frame clock reads below key off this
 	// local, so a disabled registry costs no time.Now() calls in the loop.
@@ -387,8 +393,6 @@ func (e *Engine) Process(frames []Frame) []Frame {
 				// Frames exit in input order, so out position == input index.
 				e.frameLat.ObserveSince(starts[len(out)])
 			}
-			// The caller owns the delivered buffer; keep the wrapper.
-			e.pool.release(t.buf)
 			out = append(out, Frame{Seq: t.seq, Data: t.data})
 		}
 		e.putBatch(b)

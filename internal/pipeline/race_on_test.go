@@ -2,7 +2,7 @@
 
 package pipeline_test
 
-// raceDetector reports whether the race detector is active. Under -race,
-// sync.Pool randomly discards Puts to shake out lifecycle races, so tests
-// that pin pool determinism (reuse, zero allocations) skip themselves.
+// raceDetector reports whether the race detector is active. Its
+// scheduling perturbs how many buffers are live at once, so the test that
+// pins zero allocations against a fixed warm-up skips itself.
 const raceDetector = true

@@ -17,7 +17,7 @@ import (
 // Stream keeps frames flowing while faults arrive and is engineered so
 // that a live reconfiguration loses, duplicates, and reorders nothing.
 //
-// Mechanism. Frames travel the goroutine-per-processor chain as tokens
+// Mechanism. Frames travel the worker chain (see batch.go) as tokens
 // that carry their stage progress (token.next = first logical stage not
 // yet applied). When a remap arrives, the pump (1) flips the chain into
 // draining mode — workers stop processing and pass tokens through
@@ -93,16 +93,16 @@ func (r StreamReport) Clean() bool {
 
 // token is a frame in flight, annotated with its stage progress so a
 // drained frame can resume on a new mapping without repeating or skipping
-// a stage. buf is the pooled wrapper owning data's storage (nil while the
-// data is still caller-owned, as in epoch-mode Process inputs).
+// a stage. owned reports whether data's storage belongs to the engine
+// (false while it is still caller-owned, as in epoch-mode Process inputs).
 type token struct {
-	seq  int
-	next int // first logical stage index not yet applied
-	data []float64
-	buf  *fbuf
+	seq   int
+	next  int // first logical stage index not yet applied
+	data  []float64
+	owned bool
 }
 
-// chain is one incarnation of the goroutine-per-processor pipeline.
+// chain is one incarnation of the worker pipeline.
 // Tokens travel it in pooled frameBatch carriers (see batch.go).
 type chain struct {
 	head     chan *frameBatch
@@ -126,9 +126,8 @@ type remapReq struct {
 // Submit must be called with strictly increasing Frame.Seq, and must not
 // race with Close; all other methods are safe for concurrent use.
 type Stream struct {
-	e           *Engine
-	maxPending  int
-	maxInflight int // frames admitted into the chain at once
+	e          *Engine
+	maxPending int
 
 	submitc chan Frame
 	outc    chan Frame
@@ -161,32 +160,28 @@ type Stream struct {
 // calling Process.
 func (e *Engine) StartStream(cfg StreamConfig) (*Stream, error) {
 	if cfg.MaxPending <= 0 {
-		cfg.MaxPending = 64
+		cfg.MaxPending = defaultMaxPending
 	}
-	// The pump admits at most two batches per position into the chain —
-	// enough to keep every worker busy while keeping the in-flight
-	// population (and so the delivery buffer below) small and independent
-	// of the channel depth. Out is sized so that the whole population
-	// (pending backlog plus chain occupancy) fits; a slower consumer then
-	// backpressures naturally through the chain to Submit.
+	// The pump admits at most e.maxInflight frames into the chain. Out is
+	// sized so that the whole population (pending backlog plus chain
+	// occupancy) fits; a slower consumer then backpressures naturally
+	// through the chain to Submit.
 	// submitc is buffered by one batch so a serial producer can run ahead
 	// of the pump and real batches form; without it every submission is a
 	// rendezvous and batches leave the head mostly single-frame.
-	nProc := len(e.g.Processors())
-	maxInflight := 2 * (nProc + 1) * e.batchSize
 	s := &Stream{
-		e:           e,
-		maxPending:  cfg.MaxPending,
-		maxInflight: maxInflight,
-		submitc:     make(chan Frame, e.batchSize),
-		outc:        make(chan Frame, cfg.MaxPending+maxInflight),
-		remapc:      make(chan remapReq),
-		closec:      make(chan struct{}),
-		donec:       make(chan struct{}),
+		e:          e,
+		maxPending: cfg.MaxPending,
+		submitc:    make(chan Frame, e.batchSize),
+		outc:       make(chan Frame, cfg.MaxPending+e.maxInflight),
+		remapc:     make(chan remapReq),
+		closec:     make(chan struct{}),
+		donec:      make(chan struct{}),
 	}
 	if !e.stream.CompareAndSwap(nil, s) {
 		return nil, ErrStreamActive
 	}
+	e.reserve(cfg.MaxPending)
 	go s.run()
 	return s, nil
 }
@@ -196,10 +191,10 @@ func (e *Engine) StartStream(cfg StreamConfig) (*Stream, error) {
 // must carry strictly increasing Seq.
 //
 // Submit transfers ownership of f.Data to the stream: the buffer is
-// recycled through the engine's pool and must not be retained or reused
-// by the producer. Lease submission buffers with Engine.GetBuffer (and
-// return delivered ones with Engine.Recycle) to stream without per-frame
-// allocations.
+// processed in place, recycled through the engine's pool, and must not be
+// retained or reused by the producer. Lease submission buffers with
+// Engine.GetBuffer (and return delivered ones with Engine.Recycle) to
+// stream without per-frame allocations.
 func (s *Stream) Submit(f Frame) error {
 	// Checked first: submitc is buffered, so after the pump exits a send
 	// could otherwise succeed silently and strand the frame.
@@ -288,25 +283,16 @@ func (s *Stream) remap(req remapReq) error {
 func (s *Stream) pendingLen() int { return len(s.pending) - s.pendHead }
 func (s *Stream) expectLen() int  { return len(s.expect) - s.expHead }
 
-// pushPending appends a token, compacting the ring first when append
-// would otherwise grow the backing array past dead head entries.
-func (s *Stream) pushPending(t token) {
-	if s.pendHead > 0 && len(s.pending) == cap(s.pending) {
-		n := copy(s.pending, s.pending[s.pendHead:])
-		clear(s.pending[n:])
-		s.pending = s.pending[:n]
-		s.pendHead = 0
+// push appends x to the head-indexed ring *r (live part (*r)[*head:]),
+// compacting it first when append would otherwise grow the backing array
+// past dead head entries.
+func push[T any](r *[]T, head *int, x T) {
+	if *head > 0 && len(*r) == cap(*r) {
+		n := copy(*r, (*r)[*head:])
+		clear((*r)[n:])
+		*r, *head = (*r)[:n], 0
 	}
-	s.pending = append(s.pending, t)
-}
-
-func (s *Stream) pushExpect(seq int) {
-	if s.expHead > 0 && len(s.expect) == cap(s.expect) {
-		n := copy(s.expect, s.expect[s.expHead:])
-		s.expect = s.expect[:n]
-		s.expHead = 0
-	}
-	s.expect = append(s.expect, seq)
+	*r = append(*r, x)
 }
 
 // dropPending removes the n oldest pending tokens (they entered the
@@ -322,8 +308,8 @@ func (s *Stream) dropPending(n int) {
 
 // accept takes ownership of one submitted frame.
 func (s *Stream) accept(f Frame) {
-	s.pushPending(token{seq: f.Seq, data: f.Data, buf: s.e.pool.wrap(f.Data)})
-	s.pushExpect(f.Seq)
+	push(&s.pending, &s.pendHead, token{seq: f.Seq, data: f.Data, owned: true})
+	push(&s.expect, &s.expHead, f.Seq)
 	s.submitted.Add(1)
 }
 
@@ -362,15 +348,19 @@ func (s *Stream) run() {
 	e := s.e
 	c := e.newChain()
 	inflight := 0
+	fill := min(e.batchSize, s.maxPending) // a full batch
 	closing := false
 	closec := s.closec
 	for {
 		if closing && s.pendingLen() == 0 && inflight == 0 {
 			break
 		}
+		// A short batch enters only an empty chain (or at close): while
+		// batches are in flight the pump waits for a full one, so under
+		// load every hop carries fill frames.
 		var headc chan *frameBatch
 		var nb *frameBatch
-		if n := s.pendingLen(); n > 0 && inflight < s.maxInflight {
+		if n := s.pendingLen(); n > 0 && inflight < e.maxInflight && (n >= fill || inflight == 0 || closing) {
 			nb = s.stageBatch(n)
 			headc = c.head
 		}
@@ -536,7 +526,6 @@ func (s *Stream) emit(t token) {
 	s.e.frames.Add(1)
 	s.e.framesTotal.Add(1)
 	// The consumer owns the delivered buffer from here (Engine.Recycle
-	// returns it to the pool); only the wrapper stays behind.
-	s.e.pool.release(t.buf)
+	// returns it to the pool).
 	s.outc <- Frame{Seq: t.seq, Data: t.data}
 }

@@ -226,6 +226,46 @@ func TestStreamBackpressure(t *testing.T) {
 	}
 }
 
+// TestStreamShortBatchesNotHeld drives a request/response producer that
+// waits for its frames before submitting more. The pump holds a short
+// batch back only while other frames are in flight, so every wait must
+// end without Close flushing it, and the output must still match the
+// sequential reference.
+func TestStreamShortBatchesNotHeld(t *testing.T) {
+	eng := mustEngine(t, 12, 3)
+	ref := mustEngine(t, 12, 3)
+	frames := genFrames(60, 64, 11)
+	want := ref.ProcessSequential(copyFrames(frames))
+
+	st, err := eng.StartStream(pipeline.StreamConfig{})
+	if err != nil {
+		t.Fatalf("StartStream: %v", err)
+	}
+	var got []pipeline.Frame
+	// Rounds of 1, 2 and 3 frames: after the first frame of a round enters
+	// the empty chain, the rest form a short batch behind it.
+	for next, n := 0, 1; next < len(frames); next, n = next+n, n%3+1 {
+		round := frames[next:min(next+n, len(frames))]
+		for _, f := range round {
+			if err := st.Submit(f); err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+		}
+		for range round {
+			select {
+			case f := <-st.Out():
+				got = append(got, f)
+			case <-time.After(5 * time.Second):
+				t.Fatalf("frame %d not delivered while the stream stayed open", len(got))
+			}
+		}
+	}
+	if rep := st.Close(); !rep.Clean() {
+		t.Fatalf("stream not clean: %+v", rep)
+	}
+	assertSameFrames(t, got, want)
+}
+
 // TestStreamLifecycleErrors covers the exclusivity and closed-stream
 // errors, and that a fresh stream can start after Close.
 func TestStreamLifecycleErrors(t *testing.T) {

@@ -159,15 +159,25 @@ func (s *Subsample) Name() string { return fmt.Sprintf("subsample(%d)", s.Factor
 
 func (s *Subsample) Reset() { s.phase = 0 }
 
+// Process keeps the samples at offsets first, first+Factor, … where
+// first is the distance to the next phase-0 sample, and carries the
+// phase to the next frame.
 func (s *Subsample) Process(in []float64) []float64 {
-	s.out = s.out[:0]
-	for _, x := range in {
-		if s.phase == 0 {
-			s.out = append(s.out, x)
-		}
-		s.phase = (s.phase + 1) % s.Factor
+	f := s.Factor
+	first := (f - s.phase) % f
+	n := 0
+	if first < len(in) {
+		n = (len(in) - first + f - 1) / f
 	}
-	return s.out
+	if cap(s.out) < n {
+		s.out = make([]float64, n)
+	}
+	out := s.out[:n]
+	for j, i := 0, first; j < n; j, i = j+1, i+f {
+		out[j] = in[i]
+	}
+	s.phase = (s.phase + len(in)) % f
+	return out
 }
 
 // Rescale applies out = Gain·x + Offset (contrast/brightness rescaling).

@@ -289,6 +289,70 @@ func TestQuickSubsampleLength(t *testing.T) {
 	}
 }
 
+// refSubsample is the per-sample decimator the strided Subsample kernel
+// must reproduce bit for bit.
+type refSubsample struct{ factor, phase int }
+
+func (r *refSubsample) process(in []float64) []float64 {
+	var out []float64
+	for _, x := range in {
+		if r.phase == 0 {
+			out = append(out, x)
+		}
+		r.phase = (r.phase + 1) % r.factor
+	}
+	return out
+}
+
+// Property: the strided Subsample kernel matches the per-sample reference
+// for factors 1–7 over runs of frames whose lengths (0..3·factor+1, mostly
+// not multiples of the factor) carry the phase from frame to frame.
+func TestQuickSubsampleMatchesReference(t *testing.T) {
+	f := func(factorRaw uint8, lens []uint8, seed int64) bool {
+		factor := int(factorRaw)%7 + 1
+		rng := rand.New(rand.NewSource(seed))
+		s, ref := NewSubsample(factor), &refSubsample{factor: factor}
+		for _, l := range lens {
+			in := make([]float64, int(l)%(3*factor+2))
+			for i := range in {
+				in[i] = rng.NormFloat64()
+			}
+			got, want := s.Process(in), ref.process(in)
+			if len(got) != len(want) || s.phase != ref.phase {
+				return false
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	// Every (factor, starting phase, length) triple once, deterministically.
+	for factor := 1; factor <= 7; factor++ {
+		for phase := 0; phase < factor; phase++ {
+			for n := 0; n <= 3*factor+1; n++ {
+				in := make([]float64, n)
+				for i := range in {
+					in[i] = float64(i + 1)
+				}
+				s := NewSubsample(factor)
+				s.phase = phase
+				ref := &refSubsample{factor: factor, phase: phase}
+				got, want := s.Process(in), ref.process(in)
+				if !almostEqual(got, want) || s.phase != ref.phase {
+					t.Fatalf("factor %d phase %d len %d: got %v (phase %d), want %v (phase %d)",
+						factor, phase, n, got, s.phase, want, ref.phase)
+				}
+			}
+		}
+	}
+}
+
 func TestStageValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"fir":        func() { NewFIR(nil) },
