@@ -141,11 +141,11 @@ func (p *bufPool) put(b []float64) {
 }
 
 // reserve bounds the free lists by the most buffers (or carriers) a
-// stream with the given backlog bound holds at once — backlog, submit
-// buffer, chain and a full Out — so its own population never overflows
-// them. Nothing is allocated ahead of use.
+// stream with the given backlog bound holds at once — backlog, intake
+// carriers (open, buffered, in hand-off), chain and a full Out — so its
+// own population never overflows them. Nothing is allocated ahead of use.
 func (e *Engine) reserve(maxPending int) {
-	n := 2*(maxPending+e.maxInflight) + e.batchSize
+	n := 2*(maxPending+e.maxInflight) + 4*e.batchSize
 	e.pool.free.reserve(n)
 	e.batches.reserve(n)
 }

@@ -1,9 +1,10 @@
 package pipeline
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,12 +32,38 @@ import (
 // stateful stages (FIR, LZ78, …) stay bit-identical with an unfaulted
 // run.
 //
-// Backpressure. Submit blocks when MaxPending frames are already queued —
-// including for the whole of a remap stall — so a slow or paused pipeline
-// pushes back on the producer instead of dropping. The sink checks
-// sequence numbers against the exact submission order and counts any
-// gap (lost), repeat (duplicated), or inversion (out-of-order); a clean
-// run reports zeros and the pipeline_frame_loss gauge stays 0.
+// Intake. Submit appends each frame to an open frameBatch carrier under
+// a small intake mutex and hands the carrier to the pump whole, over a
+// channel of carriers, once it holds min(batch, MaxPending) frames — or at
+// once when the pump has flagged itself idle (chain and backlog empty), so
+// a lone frame never waits. While the chain is empty the pump also takes a
+// partial carrier itself, but only when no earlier carrier is still
+// buffered or in transit, which keeps submission order. A frame pays for
+// no channel operation and no select until it is in a batch, and the pump
+// handles one message per batch.
+//
+// Pump. Each turn the pump tries single-case non-blocking operations in a
+// fixed order — a remap request, the chain's tail, its head, the intake —
+// and falls back to a blocking select only when none can proceed. Remaps
+// go first, so a saturated stream cannot keep one waiting. A short batch
+// enters only an empty chain (or one that is closing): under load every
+// hop carries a full batch.
+//
+// Shutdown. Close marks the intake closed under the intake mutex, so every
+// later Submit returns ErrStreamClosed, and sends a nil carrier as the end
+// marker. Every hand-off is counted under the same mutex before it starts
+// and uncounted by the pump when it arrives; the pump keeps receiving
+// until the count is zero, takes the last open carrier, flushes the chain
+// and only then exits. A frame for which Submit returned nil is never
+// stranded.
+//
+// Backpressure. Submit blocks once the pump holds MaxPending frames and
+// the hand-off channel is full — including for the whole of a remap
+// stall — so a slow or paused pipeline pushes back on the producer
+// instead of dropping. The sink checks sequence numbers against the exact
+// submission order and counts any gap (lost), repeat (duplicated), or
+// inversion (out-of-order); a clean run reports zeros and the
+// pipeline_frame_loss gauge stays 0.
 
 var (
 	// ErrStreamActive is returned by StartStream when the engine already
@@ -52,9 +79,9 @@ var (
 
 // StreamConfig configures a Stream.
 type StreamConfig struct {
-	// MaxPending bounds the frames buffered ahead of the processor chain;
-	// a full buffer blocks Submit (backpressure) rather than dropping.
-	// Default 64.
+	// MaxPending bounds the frames the pump holds ahead of the processor
+	// chain; beyond it, and one carrier in hand-off, Submit blocks
+	// (backpressure) rather than dropping. Default 64.
 	MaxPending int
 }
 
@@ -62,7 +89,9 @@ type StreamConfig struct {
 // Lost, Duplicated, and OutOfOrder are all zero and Delivered equals
 // Submitted (after Close).
 type StreamReport struct {
-	// Submitted counts frames accepted by Submit.
+	// Submitted counts frames the pump has taken in from Submit, a whole
+	// carrier at a time; after Close it equals the frames for which
+	// Submit or TrySubmit returned nil.
 	Submitted int64 `json:"submitted"`
 	// Delivered counts frames emitted on Out.
 	Delivered int64 `json:"delivered"`
@@ -121,19 +150,32 @@ type remapReq struct {
 }
 
 // Stream is a continuously running instance of the engine: frames go in
-// via Submit, come out via Out in submission order, and faults/repairs
-// remap the pipeline live (route them through Engine.Inject / Repair).
-// Submit must be called with strictly increasing Frame.Seq, and must not
-// race with Close; all other methods are safe for concurrent use.
+// via Submit or TrySubmit, come out via Out in submission order, and
+// faults/repairs remap the pipeline live (route them through
+// Engine.Inject / Repair).
+//
+// Submit and TrySubmit take frames from one producer at a time, with
+// strictly increasing Frame.Seq: the order of the calls is the delivery
+// order. Either may race with Close. A nil return means the frame will be
+// delivered on Out exactly once and is counted in Report().Submitted;
+// ErrStreamClosed (or ErrBackpressure from TrySubmit) means it was not
+// accepted and its buffer stays with the caller. All other methods are
+// safe for concurrent use.
 type Stream struct {
+	// Set by StartStream, read-only afterwards.
 	e          *Engine
 	maxPending int
+	fill       int              // frames in a full carrier: min(batch, MaxPending)
+	submitc    chan *frameBatch // intake → pump; nil is Close's end marker
+	outc       chan Frame
+	remapc     chan remapReq
+	donec      chan struct{}
 
-	submitc chan Frame
-	outc    chan Frame
-	remapc  chan remapReq
-	closec  chan struct{} // closed by Close to start the shutdown flush
-	donec   chan struct{}
+	// The producer writes the intake on every Submit; the padding keeps it
+	// off the cache lines of the fields the pump reads and writes.
+	_  [64]byte
+	in intake
+	_  [64]byte
 
 	closeOnce sync.Once
 
@@ -143,16 +185,32 @@ type Stream struct {
 	totalDowntimeNS, maxDowntimeNS atomic.Int64
 
 	// Pump-owned state (no locking: only the run goroutine touches it).
-	// pending and expect are head-indexed rings: popping advances the head
+	// backlog and expect are head-indexed rings: popping advances the head
 	// instead of reslicing, so the steady state reuses the same backing
 	// arrays instead of reallocating them.
-	pending  []token // frames waiting to enter the chain; front = oldest
-	pendHead int
+	backlog  []*frameBatch // carriers waiting to enter the chain; front = oldest
+	backHead int
+	pending  int   // frames in the backlog
+	inflight int   // frames in the chain
 	expect   []int // seqs submitted but not yet delivered, FIFO
 	expHead  int
-	staged   *frameBatch // batch being assembled from the pending front
-	lastSeq  int         // last emitted seq, for the inversion check
+	requeue  []token // remap scratch, empty between remaps
+	lastSeq  int     // last emitted seq, for the inversion check
 	hasLast  bool
+}
+
+// intake is the producer side of a stream: the carrier Submit fills and
+// the hand-off accounting that ordering and shutdown rely on.
+type intake struct {
+	mu     sync.Mutex
+	open   *frameBatch // carrier being filled; never full between calls
+	idle   bool        // set by the pump: chain and backlog empty, nothing queued
+	closed bool        // set by Close: Submit returns ErrStreamClosed
+	// queued counts carriers handed (or being handed) to submitc that the
+	// pump has not received yet. Only the intake raises it, under mu; only
+	// the pump lowers it. So a zero read under mu means no earlier carrier
+	// is still on its way.
+	queued atomic.Int64
 }
 
 // StartStream switches the engine into continuous streaming. Only one
@@ -166,16 +224,13 @@ func (e *Engine) StartStream(cfg StreamConfig) (*Stream, error) {
 	// sized so that the whole population (pending backlog plus chain
 	// occupancy) fits; a slower consumer then backpressures naturally
 	// through the chain to Submit.
-	// submitc is buffered by one batch so a serial producer can run ahead
-	// of the pump and real batches form; without it every submission is a
-	// rendezvous and batches leave the head mostly single-frame.
 	s := &Stream{
 		e:          e,
 		maxPending: cfg.MaxPending,
-		submitc:    make(chan Frame, e.batchSize),
+		fill:       min(e.batchSize, cfg.MaxPending),
+		submitc:    make(chan *frameBatch, 1),
 		outc:       make(chan Frame, cfg.MaxPending+e.maxInflight),
 		remapc:     make(chan remapReq),
-		closec:     make(chan struct{}),
 		donec:      make(chan struct{}),
 	}
 	if !e.stream.CompareAndSwap(nil, s) {
@@ -186,51 +241,65 @@ func (e *Engine) StartStream(cfg StreamConfig) (*Stream, error) {
 	return s, nil
 }
 
-// Submit queues one frame, blocking while the pending buffer is full —
-// including for the whole of a remap stall — and never dropping. Frames
-// must carry strictly increasing Seq.
+// Submit queues one frame, blocking while the stream is full — including
+// for the whole of a remap stall — and never dropping. Frames must carry
+// strictly increasing Seq.
 //
 // Submit transfers ownership of f.Data to the stream: the buffer is
 // processed in place, recycled through the engine's pool, and must not be
 // retained or reused by the producer. Lease submission buffers with
 // Engine.GetBuffer (and return delivered ones with Engine.Recycle) to
 // stream without per-frame allocations.
-func (s *Stream) Submit(f Frame) error {
-	// Checked first: submitc is buffered, so after the pump exits a send
-	// could otherwise succeed silently and strand the frame.
-	select {
-	case <-s.donec:
-		return ErrStreamClosed
-	default:
-	}
-	select {
-	case s.submitc <- f:
-		return nil
-	case <-s.donec:
-		return ErrStreamClosed
-	}
-}
+func (s *Stream) Submit(f Frame) error { return s.submit(f, true) }
 
-// TrySubmit queues one frame like Submit but never blocks: when the
-// stream's intake is full (the pump has stopped accepting under
-// backpressure and the submit buffer is exhausted) it returns
-// ErrBackpressure and the frame is NOT accepted — ownership of f.Data
-// stays with the caller. The control plane uses it to shed low-SLO-class
-// tenants' traffic instead of stalling their producers.
-func (s *Stream) TrySubmit(f Frame) error {
-	select {
-	case <-s.donec:
+// TrySubmit queues one frame like Submit but never blocks: when the frame
+// would fill the open carrier and the carrier cannot be handed to the
+// pump without blocking, it returns ErrBackpressure and the frame is NOT
+// accepted — ownership of f.Data stays with the caller. The control plane
+// uses it to shed low-SLO-class tenants' traffic instead of stalling
+// their producers.
+func (s *Stream) TrySubmit(f Frame) error { return s.submit(f, false) }
+
+// submit appends f to the open carrier and hands the carrier over when it
+// is full or the pump is idle; only a full carrier's hand-off may block.
+func (s *Stream) submit(f Frame, block bool) error {
+	in := &s.in
+	in.mu.Lock()
+	if in.closed {
+		in.mu.Unlock()
 		return ErrStreamClosed
+	}
+	b := in.open
+	if b == nil {
+		b = s.e.getBatch()
+		in.open = b
+	}
+	b.toks = append(b.toks, token{seq: f.Seq, data: f.Data, owned: true})
+	if len(b.toks) < s.fill && !in.idle {
+		in.mu.Unlock()
+		return nil
+	}
+	in.queued.Add(1)
+	select {
+	case s.submitc <- b:
+		in.open, in.idle = nil, false
+		in.mu.Unlock()
+		return nil
 	default:
 	}
-	select {
-	case s.submitc <- f:
-		return nil
-	case <-s.donec:
-		return ErrStreamClosed
-	default:
+	if !block {
+		in.queued.Add(-1)
+		b.toks[len(b.toks)-1] = token{}
+		b.toks = b.toks[:len(b.toks)-1]
+		in.mu.Unlock()
 		return ErrBackpressure
 	}
+	// Counted in queued, so neither the pump's idle take nor its shutdown
+	// can overtake this carrier; the send itself must not hold the lock.
+	in.open, in.idle = nil, false
+	in.mu.Unlock()
+	s.submitc <- b
+	return nil
 }
 
 // Out returns the delivery channel. Frames appear in submission order;
@@ -239,11 +308,16 @@ func (s *Stream) Out() <-chan Frame { return s.outc }
 
 // Close ends the stream: the backlog and every in-flight frame are
 // flushed through the pipeline, Out is closed, and the final report is
-// returned. Idempotent. submitc itself is never closed — a Submit racing
-// or following Close parks on the channel until the pump exits and then
-// returns ErrStreamClosed, instead of panicking on a closed send.
+// returned. Idempotent. A Submit racing Close either returns nil, and its
+// frame is flushed with the rest, or returns ErrStreamClosed.
 func (s *Stream) Close() StreamReport {
-	s.closeOnce.Do(func() { close(s.closec) })
+	s.closeOnce.Do(func() {
+		s.in.mu.Lock()
+		s.in.closed = true
+		s.in.queued.Add(1)
+		s.in.mu.Unlock()
+		s.submitc <- nil
+	})
 	<-s.donec
 	s.e.stream.CompareAndSwap(s, nil)
 	return s.Report()
@@ -279,9 +353,8 @@ func (s *Stream) remap(req remapReq) error {
 	}
 }
 
-// pendingLen / expectLen are the live lengths of the head-indexed rings.
-func (s *Stream) pendingLen() int { return len(s.pending) - s.pendHead }
-func (s *Stream) expectLen() int  { return len(s.expect) - s.expHead }
+// expectLen is the live length of the expect ring.
+func (s *Stream) expectLen() int { return len(s.expect) - s.expHead }
 
 // push appends x to the head-indexed ring *r (live part (*r)[*head:]),
 // compacting it first when append would otherwise grow the backing array
@@ -295,110 +368,157 @@ func push[T any](r *[]T, head *int, x T) {
 	*r = append(*r, x)
 }
 
-// dropPending removes the n oldest pending tokens (they entered the
-// chain), resetting the ring when it empties.
-func (s *Stream) dropPending(n int) {
-	s.pendHead += n
-	if s.pendHead == len(s.pending) {
-		clear(s.pending)
-		s.pending = s.pending[:0]
-		s.pendHead = 0
+// receive takes one carrier from submitc, reporting Close's end marker.
+func (s *Stream) receive(b *frameBatch) (end bool) {
+	s.in.queued.Add(-1)
+	if b == nil {
+		return true
 	}
+	s.accept(b)
+	return false
 }
 
-// accept takes ownership of one submitted frame.
-func (s *Stream) accept(f Frame) {
-	push(&s.pending, &s.pendHead, token{seq: f.Seq, data: f.Data, owned: true})
-	push(&s.expect, &s.expHead, f.Seq)
-	s.submitted.Add(1)
+// accept takes ownership of a carrier of submitted frames.
+func (s *Stream) accept(b *frameBatch) {
+	if len(b.toks) == 0 {
+		s.e.putBatch(b)
+		return
+	}
+	for i := range b.toks {
+		push(&s.expect, &s.expHead, b.toks[i].seq)
+	}
+	push(&s.backlog, &s.backHead, b)
+	s.pending += len(b.toks)
+	s.submitted.Add(int64(len(b.toks)))
 }
 
-// drainSubmitc non-blockingly accepts buffered submissions; bound caps
-// the pending backlog (0 = drain everything, as at close).
-func (s *Stream) drainSubmitc(bound int) {
-	for bound == 0 || s.pendingLen() < bound {
-		select {
-		case f := <-s.submitc:
-			s.accept(f)
-		default:
-			return
-		}
+// takeOpen accepts the intake's open carrier when no earlier carrier is
+// still on its way, reporting whether it took any frames. When there is
+// nothing to take, it sets the intake's idle flag to idle.
+func (s *Stream) takeOpen(idle bool) bool {
+	in := &s.in
+	in.mu.Lock()
+	if in.queued.Load() != 0 {
+		in.mu.Unlock()
+		return false
 	}
+	b := in.open
+	if b == nil || len(b.toks) == 0 {
+		in.idle = idle
+		in.mu.Unlock()
+		return false
+	}
+	in.open, in.idle = nil, false
+	in.mu.Unlock()
+	s.accept(b)
+	return true
 }
 
-// stageBatch assembles (or refreshes) the batch offered to the chain head
-// from the front of the pending ring. The carrier is rebuilt each loop
-// iteration, so a remap or new submission between offers never leaves a
-// stale token staged.
-func (s *Stream) stageBatch(n int) *frameBatch {
-	if s.staged == nil {
-		s.staged = s.e.getBatch()
+// ready returns the backlog's front carrier if it may enter the chain:
+// the chain has room, and the carrier is full, has others behind it (a
+// requeue's short last carrier must not hold them up), would enter an
+// empty chain, or the stream is closing.
+func (s *Stream) ready(closing bool) *frameBatch {
+	if s.pending == 0 || s.inflight >= s.e.maxInflight {
+		return nil
 	}
-	if n > s.e.batchSize {
-		n = s.e.batchSize
+	b := s.backlog[s.backHead]
+	if len(b.toks) >= s.fill || s.inflight == 0 || closing || len(s.backlog)-s.backHead > 1 {
+		return b
 	}
-	s.staged.toks = append(s.staged.toks[:0], s.pending[s.pendHead:s.pendHead+n]...)
-	return s.staged
+	return nil
+}
+
+// admit pops the front carrier, which the chain head has taken.
+func (s *Stream) admit(b *frameBatch) {
+	s.backlog[s.backHead] = nil
+	s.backHead++
+	if s.backHead == len(s.backlog) {
+		s.backlog, s.backHead = s.backlog[:0], 0
+	}
+	n := len(b.toks)
+	s.pending -= n
+	s.inflight += n
+	s.e.batchOcc.Observe(int64(n))
+}
+
+// sink delivers a carrier that left the chain's tail.
+func (s *Stream) sink(b *frameBatch) {
+	s.inflight -= len(b.toks)
+	s.deliver(b.toks)
+	s.e.putBatch(b)
 }
 
 // run is the pump: the single goroutine that feeds the chain head, drains
 // the tail, and serializes remaps against frame movement.
 func (s *Stream) run() {
 	defer close(s.donec)
-	e := s.e
-	c := e.newChain()
-	inflight := 0
-	fill := min(e.batchSize, s.maxPending) // a full batch
-	closing := false
-	closec := s.closec
+	c := s.e.newChain()
+	closing, intakeDone := false, false
 	for {
-		if closing && s.pendingLen() == 0 && inflight == 0 {
+		if closing && !intakeDone && s.in.queued.Load() == 0 {
+			// Submit refuses new frames and every counted hand-off has
+			// arrived: the open carrier holds the last accepted frames.
+			s.takeOpen(false)
+			intakeDone = true
+		}
+		if intakeDone && s.pending == 0 && s.inflight == 0 {
 			break
 		}
-		// A short batch enters only an empty chain (or at close): while
-		// batches are in flight the pump waits for a full one, so under
-		// load every hop carries fill frames.
-		var headc chan *frameBatch
-		var nb *frameBatch
-		if n := s.pendingLen(); n > 0 && inflight < e.maxInflight && (n >= fill || inflight == 0 || closing) {
-			nb = s.stageBatch(n)
-			headc = c.head
-		}
-		submitc := s.submitc
-		if closing || s.pendingLen() >= s.maxPending {
-			submitc = nil // backpressure: stop accepting until the backlog drains
+		// Fast path: single-case non-blocking operations, remaps first.
+		select {
+		case req := <-s.remapc:
+			c = s.handleRemap(c, req)
+			continue
+		default:
 		}
 		select {
-		case <-closec:
-			closing = true
-			closec = nil // take this branch once
-			// Submissions buffered in submitc were accepted (Submit returned
-			// nil) before Close; drain and account them so none strands.
-			s.drainSubmitc(0)
-		case f := <-submitc:
-			s.accept(f)
-			// Greedily drain what the producer buffered meanwhile, so the
-			// next staged batch reflects the real backlog.
-			s.drainSubmitc(s.maxPending)
-		case headc <- nb:
-			n := len(nb.toks)
-			s.dropPending(n)
-			inflight += n
-			s.staged = nil // ownership moved to the chain
-			e.batchOcc.Observe(int64(n))
 		case b := <-c.tail:
-			inflight -= len(b.toks)
-			for i := range b.toks {
-				s.emit(b.toks[i])
-			}
-			e.putBatch(b)
-		case req := <-s.remapc:
-			c = s.handleRemap(c, &inflight, req)
+			s.sink(b)
+			continue
+		default:
 		}
-	}
-	if s.staged != nil {
-		e.putBatch(s.staged)
-		s.staged = nil
+		nb := s.ready(closing)
+		if nb != nil {
+			select {
+			case c.head <- nb:
+				s.admit(nb)
+				continue
+			default:
+			}
+		}
+		// A carrier holds at most fill frames, so taking one never lifts
+		// the backlog past MaxPending (fill <= MaxPending).
+		var submitc chan *frameBatch
+		if !intakeDone && (closing || s.pending+s.fill <= s.maxPending) {
+			submitc = s.submitc
+			select {
+			case b := <-submitc:
+				closing = s.receive(b) || closing
+				continue
+			default:
+			}
+		}
+		// Nothing moved. An empty pump takes a partial carrier itself or
+		// flags itself idle, so the next Submit hands its carrier over.
+		if !closing && s.pending == 0 && s.inflight == 0 && s.takeOpen(true) {
+			continue
+		}
+		// Slow path: wait for whichever can move first.
+		var headc chan *frameBatch
+		if nb != nil {
+			headc = c.head
+		}
+		select {
+		case req := <-s.remapc:
+			c = s.handleRemap(c, req)
+		case b := <-c.tail:
+			s.sink(b)
+		case headc <- nb:
+			s.admit(nb)
+		case b := <-submitc:
+			closing = s.receive(b) || closing
+		}
 	}
 	close(c.head)
 	for range c.tail {
@@ -416,36 +536,38 @@ func (s *Stream) run() {
 
 // handleRemap is the zero-loss live reconfiguration: drain, remap (or
 // roll back), requeue, rebuild. Returns the new chain.
-func (s *Stream) handleRemap(c *chain, inflight *int, req remapReq) *chain {
+func (s *Stream) handleRemap(c *chain, req remapReq) *chain {
 	e := s.e
 	start := time.Now()
 	root := e.startRemapSpan(req, "stream")
 	// 1. Drain: stop processing and flush every in-flight token out of the
 	// old mapping with its progress recorded.
 	drain := span.Start(root, "drain")
-	drained := *inflight
+	drained := s.inflight
 	c.draining.Store(true)
 	close(c.head)
 	// In-flight batches explode back to individual frames here: each token
 	// already carries its stage progress, so batching is invisible to the
 	// drain/requeue contract.
-	var requeue []token
+	requeue := s.requeue[:0]
 	for b := range c.tail {
-		*inflight -= len(b.toks)
-		for i := range b.toks {
-			t := b.toks[i]
+		s.inflight -= len(b.toks)
+		done := b.toks[:0]
+		for _, t := range b.toks {
 			if t.next >= len(e.stages) {
-				s.emit(t) // finished before the drain caught it
+				done = append(done, t) // finished before the drain caught it
 			} else {
 				requeue = append(requeue, t)
 			}
 		}
+		s.deliver(done)
 		e.putBatch(b)
 	}
 	// Tokens leave the chain oldest-first already; sort defensively — the
 	// requeue MUST resume in submission order or stateful stages corrupt.
-	sort.Slice(requeue, func(i, j int) bool { return requeue[i].seq < requeue[j].seq })
-	drain.SetInt("inflight", int64(drained)).SetInt("unfinished", int64(len(requeue)))
+	slices.SortFunc(requeue, func(a, b token) int { return cmp.Compare(a.seq, b.seq) })
+	nr := len(requeue)
+	drain.SetInt("inflight", int64(drained)).SetInt("unfinished", int64(nr))
 	drain.End(span.OK)
 	// 2. Remap on the quiesced engine. On error (deadline rollback,
 	// beyond-budget fault, invalid segment) the previous mapping is still
@@ -456,18 +578,30 @@ func (s *Stream) handleRemap(c *chain, inflight *int, req remapReq) *chain {
 	} else {
 		s.remaps.Add(1)
 	}
-	// 3. Requeue unfinished frames ahead of the backlog.
+	// 3. Requeue unfinished frames ahead of the backlog, which is
+	// re-packed into full carriers behind them.
 	rq := span.Start(root, "requeue")
-	if len(requeue) > 0 {
-		live := s.pending[s.pendHead:]
-		np := make([]token, 0, len(requeue)+len(live))
-		np = append(np, requeue...)
-		np = append(np, live...)
-		s.pending, s.pendHead = np, 0
-		s.requeued.Add(int64(len(requeue)))
-		e.framesRequeued.Add(int64(len(requeue)))
+	if nr > 0 {
+		for _, b := range s.backlog[s.backHead:] {
+			requeue = append(requeue, b.toks...)
+			e.putBatch(b)
+		}
+		clear(s.backlog)
+		s.backlog, s.backHead = s.backlog[:0], 0
+		for rest := requeue; len(rest) > 0; {
+			n := min(len(rest), e.batchSize)
+			b := e.getBatch()
+			b.toks = append(b.toks, rest[:n]...)
+			s.backlog = append(s.backlog, b)
+			rest = rest[n:]
+		}
+		s.pending = len(requeue)
+		s.requeued.Add(int64(nr))
+		e.framesRequeued.Add(int64(nr))
 	}
-	rq.SetInt("frames", int64(len(requeue)))
+	clear(requeue) // the scratch must not pin frame buffers
+	s.requeue = requeue[:0]
+	rq.SetInt("frames", int64(nr))
 	rq.End(span.OK)
 	// 4. Rebuild the chain over the (possibly rolled-back) mapping.
 	rw := span.Start(root, "rewire")
@@ -485,7 +619,7 @@ func (s *Stream) handleRemap(c *chain, inflight *int, req remapReq) *chain {
 	e.remapDowntime.ObserveDuration(d)
 	// With the chain empty every undelivered frame must be queued; the
 	// difference is the loss gauge, and it must read zero.
-	loss := int64(s.expectLen() - s.pendingLen())
+	loss := int64(s.expectLen() - s.pending)
 	e.frameLoss.Set(loss)
 	root.SetInt("downtime_ns", int64(d))
 	finishRemapSpan(root, start, err)
@@ -494,6 +628,18 @@ func (s *Stream) handleRemap(c *chain, inflight *int, req remapReq) *chain {
 	}
 	req.reply <- err
 	return nc
+}
+
+// deliver emits finished tokens in order, counting them once for the
+// whole run of tokens.
+func (s *Stream) deliver(toks []token) {
+	n := int64(len(toks))
+	s.delivered.Add(n)
+	s.e.frames.Add(n)
+	s.e.framesTotal.Add(n)
+	for i := range toks {
+		s.emit(toks[i])
+	}
 }
 
 // emit delivers one finished token, checking it against the exact
@@ -522,9 +668,6 @@ func (s *Stream) emit(t token) {
 		s.duplicated.Add(1)
 		span.Trip(span.AnomalyFrameLoss, fmt.Sprintf("sink audit: unmatched arrival seq %d", t.seq))
 	}
-	s.delivered.Add(1)
-	s.e.frames.Add(1)
-	s.e.framesTotal.Add(1)
 	// The consumer owns the delivered buffer from here (Engine.Recycle
 	// returns it to the pool).
 	s.outc <- Frame{Seq: t.seq, Data: t.data}

@@ -2,7 +2,12 @@ package pipeline_test
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -299,5 +304,342 @@ func TestStreamLifecycleErrors(t *testing.T) {
 	}()
 	if rep := st2.Close(); !rep.Clean() {
 		t.Fatalf("second stream not clean: %+v", rep)
+	}
+}
+
+// TestSubmitRacingClose pins the contract between Submit/TrySubmit and a
+// concurrent Close: a nil return means the frame is delivered exactly
+// once and counted in Report().Submitted; ErrStreamClosed or
+// ErrBackpressure means it was not accepted and never appears on Out.
+// Two producers (one blocking, one not) share a sequence counter, so
+// their calls stay ordered, while Close lands at a different point in
+// each round. In every other round nothing consumes until Close starts,
+// so Close races a Submit blocked on a full stream. Run it under -race.
+func TestSubmitRacingClose(t *testing.T) {
+	sol, err := construct.Design(10, 2)
+	if err != nil {
+		t.Fatalf("Design(10,2): %v", err)
+	}
+	eng, err := pipeline.New(sol, lightStages())
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	for round := 0; round < 60; round++ {
+		st, err := eng.StartStream(pipeline.StreamConfig{MaxPending: 1 + rng.Intn(16)})
+		if err != nil {
+			t.Fatalf("round %d: StartStream: %v", round, err)
+		}
+		delivered := make(chan []int)
+		consume := func() {
+			var seqs []int
+			for f := range st.Out() {
+				seqs = append(seqs, f.Seq)
+			}
+			delivered <- seqs
+		}
+		stalled := round%2 == 1
+		if !stalled {
+			go consume()
+		}
+
+		var (
+			mu       sync.Mutex
+			next     int
+			accepted []int
+			refused  = map[int]bool{}
+		)
+		closeAt := rng.Intn(200)
+		reached := make(chan struct{})
+		var once sync.Once
+		var wg sync.WaitGroup
+		for p, try := range []bool{false, true} {
+			wg.Add(1)
+			go func(p int, try bool) {
+				defer wg.Done()
+				for {
+					mu.Lock()
+					f := pipeline.Frame{Seq: next, Data: make([]float64, 16)}
+					next++
+					var err error
+					if try {
+						err = st.TrySubmit(f)
+					} else {
+						err = st.Submit(f)
+					}
+					switch {
+					case err == nil:
+						accepted = append(accepted, f.Seq)
+						if !stalled && len(accepted) >= closeAt {
+							once.Do(func() { close(reached) })
+						}
+					case errors.Is(err, pipeline.ErrBackpressure):
+						refused[f.Seq] = true
+						once.Do(func() { close(reached) })
+						mu.Unlock()
+						runtime.Gosched() // let the pump catch up
+						continue
+					case errors.Is(err, pipeline.ErrStreamClosed):
+						refused[f.Seq] = true
+						mu.Unlock()
+						return
+					default:
+						t.Errorf("producer %d: %v", p, err)
+						mu.Unlock()
+						return
+					}
+					mu.Unlock()
+				}
+			}(p, try)
+		}
+		if stalled {
+			// Full once TrySubmit is refused — unless the blocking producer
+			// got there first and holds the counter while it waits.
+			select {
+			case <-reached:
+			case <-time.After(5 * time.Millisecond):
+			}
+			go consume()
+		} else {
+			<-reached
+		}
+		rep := st.Close()
+		wg.Wait()
+		got := <-delivered
+		mu.Lock()
+		if !rep.Clean() || rep.Submitted != int64(len(accepted)) {
+			t.Fatalf("round %d: accepted %d frames, report %+v", round, len(accepted), rep)
+		}
+		if len(got) != len(accepted) {
+			t.Fatalf("round %d: delivered %d frames, accepted %d", round, len(got), len(accepted))
+		}
+		for i, seq := range got {
+			if refused[seq] {
+				t.Fatalf("round %d: refused frame %d was delivered", round, seq)
+			}
+			if seq != accepted[i] {
+				t.Fatalf("round %d: delivery %d is seq %d, want %d", round, i, seq, accepted[i])
+			}
+		}
+		mu.Unlock()
+	}
+}
+
+// TestTrySubmitBackpressure drives TrySubmit against a stream with no
+// consumer: once the chain, Out and the intake are full it must refuse
+// frames, leave a refused frame's buffer untouched and never deliver it,
+// and once a consumer drains the stream the accepted frames must match
+// the sequential reference.
+func TestTrySubmitBackpressure(t *testing.T) {
+	eng := mustEngine(t, 10, 2)
+	ref := mustEngine(t, 10, 2)
+	st, err := eng.StartStream(pipeline.StreamConfig{MaxPending: 2})
+	if err != nil {
+		t.Fatalf("StartStream: %v", err)
+	}
+	frames := genFrames(5000, 32, 21)
+	var accepted, refused []pipeline.Frame
+	var refusedCopies [][]float64
+	for _, f := range frames {
+		in := append([]float64(nil), f.Data...)
+		switch err := st.TrySubmit(f); {
+		case err == nil:
+			accepted = append(accepted, pipeline.Frame{Seq: f.Seq, Data: in})
+		case errors.Is(err, pipeline.ErrBackpressure):
+			refused = append(refused, f)
+			refusedCopies = append(refusedCopies, in)
+		default:
+			t.Fatalf("TrySubmit %d: %v", f.Seq, err)
+		}
+		if len(refused) == 10 {
+			break
+		}
+	}
+	if len(refused) == 0 {
+		t.Fatalf("TrySubmit accepted all %d frames with no consumer", len(accepted))
+	}
+
+	done := make(chan []pipeline.Frame)
+	go func() {
+		var got []pipeline.Frame
+		for f := range st.Out() {
+			got = append(got, f)
+		}
+		done <- got
+	}()
+	rep := st.Close()
+	got := <-done
+	if !rep.Clean() || rep.Submitted != int64(len(accepted)) {
+		t.Fatalf("accepted %d frames, report %+v", len(accepted), rep)
+	}
+	assertSameFrames(t, got, ref.ProcessSequential(accepted))
+	for i, f := range refused {
+		for j := range f.Data {
+			if f.Data[j] != refusedCopies[i][j] {
+				t.Fatalf("refused frame %d: sample %d changed", f.Seq, j)
+			}
+		}
+	}
+}
+
+// frameDigest folds a frame's sequence number and sample bits into h
+// (FNV-1a over 64-bit words).
+func frameDigest(h uint64, f pipeline.Frame) uint64 {
+	mix := func(w uint64) { h = (h ^ w) * 1099511628211 }
+	mix(uint64(f.Seq))
+	for _, x := range f.Data {
+		mix(math.Float64bits(x))
+	}
+	return h
+}
+
+// TestRemapServedUnderSaturation checks that the pump's non-blocking fast
+// paths cannot starve remaps: while a producer keeps a G(12,3) stream
+// saturated, 60 Inject/Repair pairs must each return promptly, and the
+// stream must stay clean and match the sequential reference (compared by
+// digest, so the test's memory does not grow with the frame count).
+func TestRemapServedUnderSaturation(t *testing.T) {
+	sol, err := construct.Design(12, 3)
+	if err != nil {
+		t.Fatalf("Design(12,3): %v", err)
+	}
+	eng, err := pipeline.New(sol, lightStages())
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ref, err := pipeline.New(sol, lightStages())
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	st, err := eng.StartStream(pipeline.StreamConfig{})
+	if err != nil {
+		t.Fatalf("StartStream: %v", err)
+	}
+	const offset64 = 14695981039346656037
+	type result struct {
+		n      int
+		digest uint64
+	}
+	done := make(chan result)
+	go func() {
+		r := result{digest: offset64}
+		for f := range st.Out() {
+			r.n++
+			r.digest = frameDigest(r.digest, f)
+		}
+		done <- r
+	}()
+	// Inputs are a seeded template rotated by the frame's seq: cheap
+	// enough that the producer outruns the chain, and replayable, so the
+	// reference needs no copies.
+	const samples = 128
+	tmpl := genFrames(1, samples, 23)[0].Data
+	gen := func(seq int) pipeline.Frame {
+		d := make([]float64, samples)
+		r := seq % samples
+		copy(d, tmpl[r:])
+		copy(d[samples-r:], tmpl[:r])
+		return pipeline.Frame{Seq: seq, Data: d}
+	}
+
+	// The producer submits as fast as the stream admits until the remaps
+	// are done.
+	var stopOnce sync.Once
+	stop := make(chan struct{})
+	halt := func() { stopOnce.Do(func() { close(stop) }) }
+	t.Cleanup(func() { halt(); st.Close() })
+	var submitted atomic.Int64
+	produced := make(chan int, 1)
+	go func() {
+		seq := 0
+		defer func() { produced <- seq }()
+		for ; ; seq++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := st.Submit(gen(seq)); err != nil {
+				select {
+				case <-stop: // the test is ending early
+				default:
+					t.Errorf("Submit %d: %v", seq, err)
+				}
+				return
+			}
+			submitted.Add(1)
+		}
+	}()
+	// refilled waits until the producer has submitted n more frames, so
+	// every remap lands on a full stream.
+	refilled := func(n int64) bool {
+		want := submitted.Load() + n
+		deadline := time.Now().Add(10 * time.Second)
+		for submitted.Load() < want {
+			if time.Now().After(deadline) {
+				return false
+			}
+			runtime.Gosched()
+		}
+		return true
+	}
+
+	const pairs = 60
+	const bound = time.Second // a remap takes a few ms even under -race
+	remapsDone := make(chan error, 1)
+	go func() {
+		procs := sol.Graph.Processors()
+		if !refilled(2000) {
+			remapsDone <- fmt.Errorf("producer stalled before the remaps")
+			return
+		}
+		for i := 0; i < pairs; i++ {
+			node := procs[i%len(procs)]
+			for _, op := range []func(int) error{eng.Inject, eng.Repair} {
+				if !refilled(100) {
+					remapsDone <- fmt.Errorf("producer stalled at remap pair %d", i)
+					return
+				}
+				start := time.Now()
+				if err := op(node); err != nil {
+					remapsDone <- err
+					return
+				}
+				if d := time.Since(start); d > bound {
+					remapsDone <- fmt.Errorf("remap of node %d took %v", node, d)
+					return
+				}
+			}
+		}
+		remapsDone <- nil
+	}()
+	select {
+	case err := <-remapsDone:
+		if err != nil {
+			t.Fatalf("remap under saturation: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%d Inject/Repair pairs did not finish under saturation", pairs)
+	}
+	halt()
+	n := <-produced
+	rep := st.Close()
+	got := <-done
+	if !rep.Clean() || rep.Remaps != 2*pairs || rep.Submitted != int64(n) {
+		t.Fatalf("stream after %d remaps and %d frames: %+v", 2*pairs, n, rep)
+	}
+	want := result{digest: offset64}
+	for seq := 0; seq < n; {
+		chunk := make([]pipeline.Frame, 0, 4096)
+		for ; seq < n && len(chunk) < cap(chunk); seq++ {
+			chunk = append(chunk, gen(seq))
+		}
+		for _, f := range ref.ProcessSequential(chunk) {
+			want.n++
+			want.digest = frameDigest(want.digest, f)
+		}
+	}
+	if got != want {
+		t.Fatalf("delivered %d frames (digest %x), reference %d (digest %x)", got.n, got.digest, want.n, want.digest)
 	}
 }
